@@ -13,17 +13,13 @@
 //!   vectorised execution).
 //! * [`CpuEngineKind::DbmsCLike`] always scans every chunk.
 //!
-//! The scan engine itself lives in [`h2tap_olap::cpu`] — it was promoted out
-//! of this module when it became Caldera's CPU execution site — so the
-//! Figure-4 baselines and Caldera's own CPU dispatch exercise exactly the
-//! same code path. This module is a thin wrapper that keeps the paper's
-//! engine names and the baseline-facing API.
+//! The engine itself is Caldera's CPU execution site,
+//! [`h2tap_olap::CpuOlapEngine`]: a baseline is that engine built with its
+//! kind's [`CpuEngineKind::profile`], so the Figure-4 bars and Caldera's own
+//! CPU dispatch run exactly the same code path. This module keeps the
+//! paper's engine names.
 
-use h2tap_common::{Result, ScanAggQuery};
 use h2tap_olap::cpu::CpuScanProfile;
-use h2tap_storage::SnapshotTable;
-
-pub use h2tap_olap::cpu::{CpuOlapResult, CpuSpec};
 
 /// The two CPU baseline engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,43 +48,11 @@ impl CpuEngineKind {
     }
 }
 
-/// A CPU columnar scan baseline: [`CpuEngineKind`] branding over the shared
-/// [`h2tap_olap::CpuOlapEngine`].
-#[derive(Debug, Clone)]
-pub struct CpuOlapEngine {
-    kind: CpuEngineKind,
-    inner: h2tap_olap::CpuOlapEngine,
-}
-
-impl CpuOlapEngine {
-    /// Creates an engine of the given kind on the default server spec.
-    pub fn new(kind: CpuEngineKind) -> Self {
-        Self { kind, inner: h2tap_olap::CpuOlapEngine::new(kind.profile()) }
-    }
-
-    /// Overrides the hardware spec (used by ablation benches).
-    #[must_use]
-    pub fn with_spec(mut self, spec: CpuSpec) -> Self {
-        self.inner = self.inner.with_spec(spec);
-        self
-    }
-
-    /// The engine kind.
-    pub fn kind(&self) -> CpuEngineKind {
-        self.kind
-    }
-
-    /// Executes `query` over a frozen table, returning the exact result and
-    /// modelled/measured costs.
-    pub fn execute(&self, table: &SnapshotTable, query: &ScanAggQuery) -> Result<CpuOlapResult> {
-        self.inner.execute_scan(table, query)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, Schema, Value};
+    use h2tap_common::{AggExpr, AttrType, OlapPlan, PartitionId, Predicate, ScanAggQuery, Schema, Value};
+    use h2tap_olap::{CpuOlapEngine, CpuPlanResult, ExecutionSite};
     use h2tap_storage::{Database, Layout};
 
     /// Builds a 2-column table: col0 = 0..n (sorted), col1 = col0 * 2.
@@ -103,16 +67,20 @@ mod tests {
         snap.table(t).unwrap().clone()
     }
 
+    fn run(kind: CpuEngineKind, t: &h2tap_storage::SnapshotTable, query: &ScanAggQuery) -> CpuPlanResult {
+        CpuOlapEngine::new(kind.profile()).execute_plan_pipeline(t, None, &OlapPlan::scan(query)).unwrap()
+    }
+
     #[test]
     fn both_engines_compute_the_same_exact_answer() {
         let t = table(10_000);
         let query =
             ScanAggQuery { predicates: vec![Predicate::between(0, 0.0, 999.0)], aggregate: AggExpr::SumProduct(0, 1) };
-        let monet = CpuOlapEngine::new(CpuEngineKind::MonetLike).execute(&t, &query).unwrap();
-        let dbmsc = CpuOlapEngine::new(CpuEngineKind::DbmsCLike).execute(&t, &query).unwrap();
+        let monet = run(CpuEngineKind::MonetLike, &t, &query);
+        let dbmsc = run(CpuEngineKind::DbmsCLike, &t, &query);
         let expected: f64 = (0..1000).map(|i| (i * i * 2) as f64).sum();
-        assert_eq!(monet.value, expected);
-        assert_eq!(dbmsc.value, expected);
+        assert_eq!(monet.groups[0].values[0], expected);
+        assert_eq!(dbmsc.groups[0].values[0], expected);
         assert_eq!(monet.qualifying_rows, 1000);
     }
 
@@ -121,9 +89,9 @@ mod tests {
         // col0 is inserted in sorted order, so zonemaps can skip chunks.
         let t = table(300_000);
         let query = ScanAggQuery { predicates: vec![Predicate::between(0, 0.0, 9_999.0)], aggregate: AggExpr::Count };
-        let monet = CpuOlapEngine::new(CpuEngineKind::MonetLike).execute(&t, &query).unwrap();
-        let dbmsc = CpuOlapEngine::new(CpuEngineKind::DbmsCLike).execute(&t, &query).unwrap();
-        assert_eq!(monet.value, 10_000.0);
+        let monet = run(CpuEngineKind::MonetLike, &t, &query);
+        let dbmsc = run(CpuEngineKind::DbmsCLike, &t, &query);
+        assert_eq!(monet.groups[0].values[0], 10_000.0);
         assert!(monet.chunks_skipped > 0, "zonemaps should skip chunks on sorted data");
         assert_eq!(dbmsc.chunks_skipped, 0);
         assert!(monet.rows_scanned < dbmsc.rows_scanned);
@@ -134,8 +102,8 @@ mod tests {
     fn count_aggregate_counts_qualifying_rows() {
         let t = table(1000);
         let query = ScanAggQuery { predicates: vec![Predicate::between(1, 0.0, 10.0)], aggregate: AggExpr::Count };
-        let r = CpuOlapEngine::new(CpuEngineKind::DbmsCLike).execute(&t, &query).unwrap();
-        assert_eq!(r.value, 6.0); // col1 in {0,2,4,6,8,10}
+        let r = run(CpuEngineKind::DbmsCLike, &t, &query);
+        assert_eq!(r.groups[0].values[0], 6.0); // col1 in {0,2,4,6,8,10}
     }
 
     #[test]
@@ -147,17 +115,19 @@ mod tests {
     #[test]
     fn baseline_and_caldera_cpu_site_share_the_engine() {
         // The MonetDB-like baseline and the archipelago CPU site run the same
-        // scan kernel, so with the same spec they must report identical
-        // answers and identical modelled times.
+        // engine, so with the same spec they must report identical answers
+        // and identical modelled times.
         let t = table(50_000);
         let query = ScanAggQuery {
             predicates: vec![Predicate::between(0, 100.0, 40_000.0)],
             aggregate: AggExpr::SumColumns(vec![1]),
         };
-        let baseline = CpuOlapEngine::new(CpuEngineKind::MonetLike).execute(&t, &query).unwrap();
-        let site = h2tap_olap::CpuOlapEngine::new(CpuScanProfile::vectorized()).execute_scan(&t, &query).unwrap();
-        assert_eq!(baseline.value, site.value);
-        assert_eq!(baseline.qualifying_rows, site.qualifying_rows);
-        assert_eq!(baseline.sim_time, site.sim_time);
+        let baseline = run(CpuEngineKind::MonetLike, &t, &query);
+        let site = CpuOlapEngine::new(CpuScanProfile::vectorized());
+        let handle = site.register_table(&t, "t").unwrap();
+        let out = site.execute_plan(handle, &t, None, &OlapPlan::scan(&query)).unwrap();
+        assert_eq!(baseline.groups, out.groups);
+        assert_eq!(baseline.qualifying_rows, out.qualifying_rows);
+        assert_eq!(baseline.sim_time, out.time);
     }
 }

@@ -7,11 +7,11 @@
 //! in minutes on a laptop; the scale knobs are explicit parameters.
 
 use caldera::{Caldera, CalderaConfig, DataPlacement, DeviceLossPoint, FaultPlan, OlapTarget, SnapshotPolicy};
-use h2tap_baselines::{CpuEngineKind, CpuOlapEngine, SiloDb, SiloRuntime, SnSilo};
+use h2tap_baselines::{CpuEngineKind, SiloDb, SiloRuntime, SnSilo};
 use h2tap_common::stats::Histogram;
-use h2tap_common::{SimDuration, TableId};
+use h2tap_common::{OlapPlan, SimDuration, TableId};
 use h2tap_gpu_sim::{AccessMode, AccessPattern, GpuDevice, GpuSpec, KernelDesc, TransferDirection};
-use h2tap_olap::GpuOlapEngine;
+use h2tap_olap::{GpuOlapEngine, OlapOutcome};
 use h2tap_oltp::OltpConfig;
 use h2tap_storage::Layout;
 use h2tap_workloads::layoutbench;
@@ -156,8 +156,8 @@ pub struct Fig4Row {
 /// Runs Figure 4: Q6 on Caldera and on the two CPU baselines, without
 /// concurrent transactions. The Caldera bar goes through `Caldera::run_olap_on`
 /// — the exact dispatch path production queries take — and the CPU baselines
-/// are thin wrappers over the same shared scan engine as Caldera's CPU site,
-/// so every bar exercises first-class code.
+/// run Caldera's CPU engine with their own profiles, so every bar exercises
+/// first-class code.
 pub fn fig4(rows: u64) -> Vec<Fig4Row> {
     let mut config = CalderaConfig::with_workers(1);
     config.snapshot_policy = SnapshotPolicy::Manual;
@@ -177,12 +177,13 @@ pub fn fig4(rows: u64) -> Vec<Fig4Row> {
     // The baselines answer the same query over a snapshot of the same data.
     let snap = caldera.database().snapshot();
     let frozen = snap.table(table).unwrap();
+    let plan = OlapPlan::scan(&query);
     for kind in [CpuEngineKind::DbmsCLike, CpuEngineKind::MonetLike] {
-        let result = CpuOlapEngine::new(kind).execute(frozen, &query).unwrap();
+        let result = h2tap_olap::CpuOlapEngine::new(kind.profile()).execute_plan_pipeline(frozen, None, &plan).unwrap();
         rows_out.push(Fig4Row {
             engine: kind.label().into(),
             seconds: result.sim_time.as_secs_f64(),
-            revenue: result.value,
+            revenue: result.groups[0].values[0],
         });
     }
     let _ = caldera.database().release_snapshot(&snap);
@@ -839,7 +840,8 @@ pub fn fig10(rows: u64, attribute_counts: &[usize]) -> Vec<LayoutRow> {
         let engine = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
         let handle = engine.register_table(frozen, "dataset").unwrap();
         for &n in attribute_counts {
-            let outcome = engine.execute(handle, frozen, &layoutbench::sum_query(n)).unwrap();
+            let plan = OlapPlan::scan(&layoutbench::sum_query(n));
+            let outcome = OlapOutcome::from(engine.execute_plan(handle, frozen, None, &plan).unwrap());
             out.push(LayoutRow {
                 layout: layout.label().to_string(),
                 attributes: n,
@@ -863,7 +865,8 @@ pub fn fig11(rows: u64) -> Vec<LayoutRow> {
             let frozen = snap.table(table).unwrap();
             let engine = GpuOlapEngine::new(GpuDevice::new(spec.clone()), DataPlacement::DeviceResident);
             let handle = engine.register_table(frozen, "dataset").unwrap();
-            let outcome = engine.execute(handle, frozen, &layoutbench::sum_query(2)).unwrap();
+            let plan = OlapPlan::scan(&layoutbench::sum_query(2));
+            let outcome = OlapOutcome::from(engine.execute_plan(handle, frozen, None, &plan).unwrap());
             out.push(LayoutRow {
                 layout: layout.label().to_string(),
                 attributes: 2,
@@ -1017,53 +1020,48 @@ pub fn fig_hostperf(lineitem_rows: u64, part_keys: u64, repeats: u32) -> HostPer
     let mut rows = Vec::new();
 
     // ---- Workload 1: Q6, the selective scan-and-aggregate. -------------
-    let query = q6();
+    let plan = OlapPlan::scan(&q6());
     // Pre-PR path: fresh materialisation *without* zonemap statistics
     // (they did not exist), O(chunk) zonemap recomputation per chunk per
     // query, row-at-a-time evaluation. (One residual deviation understates
     // the win: the reference's hash build below uses the new multiply-shift
     // hasher rather than the old SipHash.)
-    let scan_reference = || -> (f64, u64) {
-        let mat = ops::MaterializedColumns::new_without_zonemaps(fact, query.columns_accessed()).unwrap();
-        let mut kept = Vec::new();
-        for i in 0..mat.chunk_count() {
-            let range = mat.chunk_range(i);
-            if ops::scan_chunk_can_qualify_reference(&mat, &query.predicates, range.clone()) {
-                kept.push(ops::scan_chunk_reference(&mat, &query, range));
-            }
-        }
-        ops::merge_scan_partials(kept)
+    let scan_reference = || -> Vec<h2tap_common::GroupRow> {
+        let mat = ops::MaterializedColumns::new_without_zonemaps(fact, plan.probe_columns_accessed()).unwrap();
+        let partials = (0..mat.chunk_count())
+            .map(|i| mat.chunk_range(i))
+            .filter(|range| ops::chunk_can_qualify_reference(&mat, &plan.predicates, range.clone()))
+            .map(|range| ops::process_chunk_reference(&mat, &plan, None, range))
+            .collect();
+        ops::merge_partials(&plan, partials).0
     };
     // The previous release's cold path: serial two-pass materialisation
     // plus the scalar batch kernels, zonemap skipping enabled. (Its hash
     // build shares today's zonemap-free build-side materialisation, which
     // slightly *understates* the SIMD win.)
-    let scan_pr5 = || -> (f64, u64) {
-        let mat = ops::MaterializedColumns::new_serial(fact, query.columns_accessed()).unwrap();
-        let mut kept = Vec::new();
-        for i in 0..mat.chunk_count() {
-            if ops::scan_chunk_can_qualify(&mat, &query.predicates, i) {
-                kept.push(ops::scan_chunk_scalar(&mat, &query, mat.chunk_range(i)));
-            }
-        }
-        ops::merge_scan_partials(kept)
+    let scan_pr5 = || -> Vec<h2tap_common::GroupRow> {
+        let mat = ops::MaterializedColumns::new_serial(fact, plan.probe_columns_accessed()).unwrap();
+        let partials = (0..mat.chunk_count())
+            .filter(|&i| ops::chunk_can_qualify(&mat, &plan.predicates, i))
+            .map(|i| ops::process_chunk_scalar(&mat, &plan, None, mat.chunk_range(i)))
+            .collect();
+        ops::merge_partials(&plan, partials).0
     };
-    let scan_vectorized = |cache: &PlanDataCache| -> (f64, u64) {
-        let mat = cache.materialized(fact, query.columns_accessed()).unwrap();
-        let mut kept = Vec::new();
-        for i in 0..mat.chunk_count() {
-            if ops::scan_chunk_can_qualify(&mat, &query.predicates, i) {
-                kept.push(ops::scan_chunk(&mat, &query, mat.chunk_range(i)));
-            }
-        }
-        ops::merge_scan_partials(kept)
+    let scan_vectorized = |cache: &PlanDataCache| -> Vec<h2tap_common::GroupRow> {
+        let data = cache.prepare_plan(fact, None, &plan).unwrap();
+        let partials = (0..data.mat.chunk_count())
+            .filter(|&i| ops::chunk_can_qualify(&data.mat, &plan.predicates, i))
+            .map(|i| ops::process_chunk(&data.mat, &plan, None, data.mat.chunk_range(i)))
+            .collect();
+        ops::merge_partials(&plan, partials).0
     };
-    let want = scan_reference();
-    assert_eq!(scan_pr5().0.to_bits(), want.0.to_bits(), "scalar batch scan must be bit-identical");
+    let bits = |groups: Vec<h2tap_common::GroupRow>| groups[0].values[0].to_bits();
+    let want = bits(scan_reference());
+    assert_eq!(bits(scan_pr5()), want, "scalar batch scan must be bit-identical");
     let cold_cache = PlanDataCache::new();
-    assert_eq!(scan_vectorized(&cold_cache).0.to_bits(), want.0.to_bits(), "vectorized scan must be bit-identical");
+    assert_eq!(bits(scan_vectorized(&cold_cache)), want, "vectorized scan must be bit-identical");
     let warm_cache = PlanDataCache::new();
-    assert_eq!(scan_vectorized(&warm_cache).0.to_bits(), want.0.to_bits());
+    assert_eq!(bits(scan_vectorized(&warm_cache)), want);
 
     let (reference_ms, reference_latency) = time_stream(Box::new(|| {
         scan_reference();

@@ -104,6 +104,14 @@ impl OlapPlan {
         }
     }
 
+    /// Whether the plan is scan-shaped — no join, no `group_by`, exactly one
+    /// aggregate — i.e. in the image of [`OlapPlan::scan`]. Sites charge
+    /// such plans the filtered-scan kernel schedule and answer them with a
+    /// single value.
+    pub fn is_scan(&self) -> bool {
+        self.join.is_none() && self.group_by.is_none() && self.aggregates.len() == 1
+    }
+
     /// Whether the plan is structurally valid: a `Build` group key or any
     /// build predicate requires a join, and at least one aggregate must be
     /// present.
@@ -223,6 +231,10 @@ mod tests {
             ScanAggQuery { predicates: vec![Predicate::between(0, 0.0, 1.0)], aggregate: AggExpr::SumProduct(1, 2) };
         let plan = OlapPlan::scan(&q);
         assert!(plan.validate().is_ok());
+        assert!(plan.is_scan());
+        assert!(!OlapPlan { aggregates: vec![AggExpr::Count, AggExpr::Count], ..plan.clone() }.is_scan());
+        assert!(!OlapPlan { group_by: Some(PlanColumn::Probe(0)), ..plan.clone() }.is_scan());
+        assert!(!OlapPlan { join: Some(join()), ..plan.clone() }.is_scan());
         assert_eq!(plan.probe_columns_accessed(), q.columns_accessed());
         assert!(plan.build_columns_accessed().is_empty());
         assert_eq!(plan.random_access_bytes(1000), 0);

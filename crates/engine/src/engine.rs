@@ -1,10 +1,13 @@
 //! The running Caldera engine: both archipelagos over one shared database.
 //!
-//! Analytical queries are not hard-wired to a device: `run_olap` builds
-//! [`PlacementHints`] from live state (query scan footprint, GPU residency,
-//! the CPU cores the data-parallel archipelago currently owns), asks
-//! [`place_olap_query`] for a target, and dispatches to the matching
-//! [`ExecutionSite`] — the simulated GPU or the archipelago's CPU cores.
+//! Analytical queries are not hard-wired to a device. Every `run_olap*`
+//! call runs as an [`OlapPlan`] (a `ScanAggQuery` as its scan-shaped plan)
+//! through one dispatch path: it builds [`PlacementHints`] from live state
+//! (scan footprint, GPU residency, the CPU cores the data-parallel
+//! archipelago currently owns, join access-pattern features), asks
+//! [`place_olap_query_sites`] for a target, and dispatches to the matching
+//! [`ExecutionSite`] — the archipelago's CPU cores, the simulated GPU or the
+//! multi-GPU mix.
 //!
 //! # Concurrency
 //!
@@ -594,16 +597,18 @@ impl Caldera {
     /// Runs an analytical query against `table` on the data-parallel
     /// archipelago, refreshing the snapshot according to the configured
     /// [`SnapshotPolicy`] and dispatching to the execution site the
-    /// scheduler's placement heuristic picks from live hints.
+    /// scheduler's placement heuristic picks from live hints. The query runs
+    /// as its scan-shaped plan ([`OlapPlan::scan`]) through
+    /// [`Caldera::run_olap_plan`].
     pub fn run_olap(&self, table: TableId, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        self.run_olap_dispatch(table, query, None)
+        self.run_olap_plan(table, None, &OlapPlan::scan(query)).map(OlapOutcome::from)
     }
 
     /// Like [`Caldera::run_olap`] but forces the execution site, bypassing
     /// the placement heuristic (used by experiments and site-equivalence
     /// tests; production queries should go through `run_olap`).
     pub fn run_olap_on(&self, table: TableId, query: &ScanAggQuery, target: OlapTarget) -> Result<OlapOutcome> {
-        self.run_olap_dispatch(table, query, Some(target))
+        self.run_olap_plan_on(table, None, &OlapPlan::scan(query), target).map(OlapOutcome::from)
     }
 
     /// Runs a relational plan (filter → optional hash join on `build` →
@@ -863,57 +868,6 @@ impl Caldera {
         }
     }
 
-    fn run_olap_dispatch(
-        &self,
-        table: TableId,
-        query: &ScanAggQuery,
-        forced: Option<OlapTarget>,
-    ) -> Result<OlapOutcome> {
-        self.scheduler.record_dispatch(ArchipelagoKind::DataParallel, 1.0);
-        let (snap, snapshot, query_seq) = self.snapshot_for_query()?;
-        let table_meta = self.db.table_meta(table)?;
-        let frozen = snapshot.table(table)?;
-
-        // Live placement inputs: the query's scan footprint, how much of the
-        // data already sits in device memory, and the CPU cores the
-        // data-parallel archipelago owns right now (core migration included).
-        // Hints are built for forced dispatches too: a forced run is ground
-        // truth about its site and must still feed the calibrator — it just
-        // never consults the placement heuristic.
-        let cpu_cores = self.scheduler.archipelago(ArchipelagoKind::DataParallel).core_count() as u32;
-        let hints = PlacementHints {
-            bytes_to_scan: query.scan_bytes(&frozen.schema, frozen.row_count()),
-            rows: frozen.row_count(),
-            ..self.base_hints(&snap, cpu_cores)
-        };
-        let capabilities = snap.capabilities();
-        self.tracer.set_query(query_seq);
-        let placing = self.tracer.start();
-        let target = forced.unwrap_or_else(|| self.place_with_health(&snap, &capabilities, &hints));
-        self.tracer.record_wall(SpanEvent::new(SpanKind::Placement).site(target), placing);
-
-        let admission_timeout = self.config.olap_admission_timeout;
-        let outcome = self.run_resilient(&snap, &capabilities, &hints, forced.is_some(), target, |t| {
-            Self::execute_on_slot(&snap, t, cpu_cores, table, frozen, &table_meta.name, query, admission_timeout)
-        })?;
-        // Close the loop: predicted vs site-reported time recalibrates the
-        // cost model (outcome.site, not target — an OOM fallback is a CPU
-        // observation), then the migration policy sees the fresh report.
-        let report = self.account_dispatch(
-            &capabilities,
-            &hints,
-            forced.is_some(),
-            target,
-            outcome.site,
-            outcome.time,
-            outcome.breakdown,
-            query_seq,
-        );
-        drop(snap);
-        self.apply_migration_policy(&report);
-        Ok(outcome)
-    }
-
     fn run_olap_plan_dispatch(
         &self,
         probe: TableId,
@@ -930,11 +884,15 @@ impl Caldera {
             None => None,
         };
 
-        // Plan placement adds the access-pattern features to the scan hints:
-        // how many bytes the hash probes gather at random, and whether the
-        // hash state fits in free device memory at all. As in the scan path,
-        // the hints are built even for forced dispatches so they can feed
-        // the calibrator.
+        // Live placement inputs: the plan's scan footprint, how much of the
+        // data already sits in device memory, the CPU cores the data-parallel
+        // archipelago owns right now (core migration included), and the
+        // access-pattern features — how many bytes the hash probes gather at
+        // random, and whether the hash state fits in free device memory (both
+        // zero for a plan without a join, which disables the footprint
+        // check). The hints are built for forced dispatches too: a forced run
+        // is ground truth about its site and must still feed the calibrator —
+        // it just never consults the placement heuristic.
         let cpu_cores = self.scheduler.archipelago(ArchipelagoKind::DataParallel).core_count() as u32;
         let probe_rows = probe_frozen.row_count();
         let build_bytes =
@@ -976,10 +934,10 @@ impl Caldera {
             // does not inherit stranded device buffers.
             let mut newly: Vec<TableId> = Vec::new();
             let attempt = (|| {
-                let probe_handle = Self::handle_for(slot, probe, probe_frozen, &probe_meta.name, Some(&mut newly))?;
+                let probe_handle = Self::handle_for(slot, probe, probe_frozen, &probe_meta.name, &mut newly)?;
                 let build_pair = match &build_parts {
                     Some((id, frozen, meta)) => {
-                        Some((Self::handle_for(slot, *id, frozen, &meta.name, Some(&mut newly))?, *frozen))
+                        Some((Self::handle_for(slot, *id, frozen, &meta.name, &mut newly)?, *frozen))
                     }
                     None => None,
                 };
@@ -1004,6 +962,9 @@ impl Caldera {
         };
 
         let outcome = self.run_resilient(&snap, &capabilities, &hints, forced.is_some(), target, run)?;
+        // Close the loop: predicted vs site-reported time recalibrates the
+        // cost model (outcome.site, not target — an OOM fallback is a CPU
+        // observation), then the migration policy sees the fresh report.
         let report = self.account_dispatch(
             &capabilities,
             &hints,
@@ -1022,15 +983,15 @@ impl Caldera {
     /// Returns the slot's handle for `table`, registering the frozen image
     /// with the site on first use within the current snapshot. The
     /// registration map's lock is held across `register_table`, so racing
-    /// first users register exactly once. When `track` is given, a table
-    /// registered by this call is appended to it so the caller can roll the
-    /// registration back if its overall attempt fails.
+    /// first users register exactly once. A table registered by this call is
+    /// appended to `newly` so the caller can roll the registration back if
+    /// its overall attempt fails.
     fn handle_for(
         slot: &SiteSlot,
         table: TableId,
         frozen: &h2tap_storage::SnapshotTable,
         label: &str,
-        track: Option<&mut Vec<TableId>>,
+        newly: &mut Vec<TableId>,
     ) -> Result<RegisteredTable> {
         let mut registered = slot.registered.lock();
         if let Some(h) = registered.get(&table) {
@@ -1038,40 +999,8 @@ impl Caldera {
         }
         let h = slot.site.register_table(frozen, label)?;
         registered.insert(table, h);
-        if let Some(track) = track {
-            track.push(table);
-        }
+        newly.push(table);
         Ok(h)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_on_slot(
-        snap: &SnapshotGate,
-        target: OlapTarget,
-        cpu_cores: u32,
-        table: TableId,
-        frozen: &h2tap_storage::SnapshotTable,
-        label: &str,
-        query: &ScanAggQuery,
-        admission_timeout: Option<Duration>,
-    ) -> Result<OlapOutcome> {
-        let slot = snap.require_slot(target)?;
-        // RAII admission: held for registration + execution, released on
-        // every path — an OOM error frees this site's slot before the
-        // caller's fallback competes for the next site's gate. A configured
-        // timeout bounds the queue wait so a wedged site cannot strand
-        // clients (the ladder then tries another site).
-        let _permit = slot.admission.admit_timeout(admission_timeout)?;
-        if target == OlapTarget::Cpu {
-            // A query placed on CPU must see the archipelago's current core
-            // count, not the count at construction time.
-            slot.site.set_cores(cpu_cores.max(1));
-        }
-        let handle = Self::handle_for(slot, table, frozen, label, None)?;
-        let outcome = slot.site.execute(handle, frozen, query)?;
-        slot.queries.fetch_add(1, Ordering::Relaxed);
-        *slot.time.lock() += outcome.time;
-        Ok(outcome)
     }
 
     /// Combined statistics across both archipelagos.

@@ -49,7 +49,7 @@ pub enum SpanKind {
     /// One execution-site kernel (simulated GPU kernel launch or the CPU
     /// site's chunk pipeline); duration is the site's reported time.
     Kernel,
-    /// A partial-merge phase (`merge_scan_partials` / `merge_groups`).
+    /// A partial-merge phase (a site's `merge_groups` kernels).
     Merge,
     /// A failed attempt falling back to the next-best healthy site.
     Fallback,
@@ -174,8 +174,11 @@ struct TracerInner {
     /// Ring cursor; `fetch_add(1, Relaxed)` is the hot path's only shared
     /// write.
     cursor: AtomicU64,
-    /// Current query id, stamped onto every span. OLAP dispatch is
-    /// serialised under the engine's query lock, so a single cell suffices.
+    /// Current query id, stamped onto every span. One cell shared by every
+    /// client thread: concurrent queries dispatch in parallel and the last
+    /// `set_query` wins, so a span recorded while another query dispatches
+    /// can carry that query's id. Per-query attribution under concurrency
+    /// needs a per-call context instead of this cell.
     query: AtomicU64,
     /// Spans dropped because their slot was contended.
     dropped: AtomicU64,

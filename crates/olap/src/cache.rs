@@ -525,13 +525,12 @@ mod tests {
         let s2 = db.snapshot();
         let fresh = cache.materialized(s2.table(t).unwrap(), vec![1]).unwrap();
         assert!(!StdArc::ptr_eq(&old, &fresh), "the stale materialisation must not be served");
-        let sum = |mat: &MaterializedColumns, query: &h2tap_common::ScanAggQuery| {
-            operators::merge_scan_partials(
-                (0..mat.chunk_count()).map(|i| operators::scan_chunk(mat, query, mat.chunk_range(i))),
-            )
-            .0
+        let sum = |mat: &MaterializedColumns, plan: &OlapPlan| {
+            let partials =
+                (0..mat.chunk_count()).map(|i| operators::process_chunk(mat, plan, None, mat.chunk_range(i)));
+            operators::merge_partials(plan, partials.collect()).0[0].values[0]
         };
-        let q = h2tap_common::ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
+        let q = OlapPlan::scan(&h2tap_common::ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1])));
         assert_eq!(sum(&old, &q), (0..100).map(|i| 2.0 * i as f64).sum::<f64>());
         assert_eq!(sum(&fresh, &q), sum(&old, &q) - 0.0 + 999.0, "fresh epoch sees the update");
         // The superseded epoch was evicted, not retained alongside.

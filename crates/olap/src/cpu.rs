@@ -1,20 +1,21 @@
 //! The CPU execution site: a zonemap-skipping vectorised scan engine running
 //! on the CPU cores of the data-parallel archipelago.
 //!
-//! This engine started life as the Figure-4 "MonetDB-like" baseline in
-//! `h2tap-baselines` and was promoted here so that placement decisions have a
-//! real CPU target: `Caldera::run_olap` dispatches to it through
-//! [`crate::ExecutionSite`] whenever [`h2tap_scheduler::place_olap_query`]
-//! picks the CPU, and the Figure-4 baselines are now thin wrappers over the
-//! same code path. Like the GPU engine, it computes **exact** answers over
-//! the real data while charging time to the same simulated-hardware frame of
-//! reference (the paper's dual-socket 24-core server by default).
+//! This engine started life as the Figure-4 "MonetDB-like" baseline and was
+//! promoted here so that placement decisions have a real CPU target:
+//! `Caldera::run_olap*` dispatches to it through [`crate::ExecutionSite`]
+//! whenever placement picks the CPU, and the Figure-4 baselines run the same
+//! engine with their own [`CpuScanProfile`]. Like the GPU engine, it computes
+//! **exact** answers over the real data while charging time to the same
+//! simulated-hardware frame of reference (the paper's dual-socket 24-core
+//! server by default).
 //!
-//! Execution model: accessed columns are materialised into fixed
-//! [`h2tap_common::PLAN_CHUNK_ROWS`] chunks (column-at-a-time vectorised
-//! execution) that both the scan and the plan pipeline evaluate **on a scoped
-//! thread pool sized by the archipelago's current core count**; per-chunk
-//! min/max zonemaps skip chunks that cannot satisfy the predicates, and the
+//! Execution model: one pipeline ([`CpuOlapEngine::execute_plan_pipeline`])
+//! answers every [`OlapPlan`], scans included. Accessed columns are
+//! materialised into fixed [`h2tap_common::PLAN_CHUNK_ROWS`] chunks
+//! (column-at-a-time vectorised execution) evaluated **on a scoped thread
+//! pool sized by the archipelago's current core count**; per-chunk min/max
+//! zonemaps skip chunks that cannot satisfy the probe predicates, and the
 //! analytical time model treats the work as memory-bandwidth bound with
 //! per-tuple work spread over the cores the archipelago currently owns — so
 //! core migration changes both the simulated and the wall-clock query times.
@@ -23,11 +24,11 @@
 //! perturb a single bit of the f64 results.
 
 use crate::cache::PlanDataCache;
-use crate::engine::{OlapOutcome, PlanOutcome, RegisteredTable};
-use crate::operators::{self, ChunkPartial, ScanChunkPartial};
+use crate::engine::{PlanOutcome, RegisteredTable};
+use crate::operators::{self, ChunkPartial};
 use crate::pool::{run_chunked, MAX_PLAN_THREADS};
 use crate::site::{emit_execution_spans, ExecutionSite};
-use h2tap_common::{ExecBreakdown, GroupRow, H2Error, OlapPlan, Result, ScanAggQuery, SimDuration};
+use h2tap_common::{ExecBreakdown, GroupRow, H2Error, OlapPlan, Result, SimDuration};
 use h2tap_obs::Tracer;
 use h2tap_scheduler::{overlap_secs, OlapTarget, SiteCapability, CPU_CACHE_LINE_BYTES};
 use h2tap_storage::SnapshotTable;
@@ -98,28 +99,6 @@ impl CpuSpec {
     }
 }
 
-/// Result of running a query on the CPU engine, with scan-level detail the
-/// compact [`OlapOutcome`] does not carry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpuOlapResult {
-    /// The aggregate value.
-    pub value: f64,
-    /// Number of qualifying records.
-    pub qualifying_rows: u64,
-    /// Records actually scanned (after zonemap skipping).
-    pub rows_scanned: u64,
-    /// Chunks skipped thanks to zonemaps.
-    pub chunks_skipped: u64,
-    /// Worker threads the chunked scan actually used.
-    pub threads_used: usize,
-    /// Modelled execution time on the configured server spec.
-    pub sim_time: SimDuration,
-    /// How the modelled time splits into the cost model's terms.
-    pub breakdown: ExecBreakdown,
-    /// Wall-clock time of the real computation in this process.
-    pub wall_time: std::time::Duration,
-}
-
 /// Result of running a relational plan on the CPU engine, with pipeline
 /// detail the compact [`PlanOutcome`] does not carry.
 #[derive(Debug, Clone)]
@@ -129,6 +108,10 @@ pub struct CpuPlanResult {
     pub groups: Vec<GroupRow>,
     /// Rows that reached the aggregation (post filter and join).
     pub qualifying_rows: u64,
+    /// Probe rows actually scanned (after zonemap skipping).
+    pub rows_scanned: u64,
+    /// Probe chunks skipped thanks to zonemaps.
+    pub chunks_skipped: u64,
     /// Worker threads the chunk pipeline actually used.
     pub threads_used: usize,
     /// Modelled execution time on the configured server spec.
@@ -144,9 +127,9 @@ pub struct CpuPlanResult {
 ///
 /// Concurrent: the mutable pieces — the migratable core count and the vended
 /// registration handles — sit behind their own short-lived locks, and the
-/// scan/pipeline hot paths only *copy the spec out* before computing, so
-/// simultaneous `execute` calls from many client threads never serialise on
-/// the site.
+/// pipeline hot path only *copies the spec out* before computing, so
+/// simultaneous `execute_plan` calls from many client threads never
+/// serialise on the site.
 #[derive(Debug)]
 pub struct CpuOlapEngine {
     profile: CpuScanProfile,
@@ -230,83 +213,14 @@ impl CpuOlapEngine {
         *self.spec.lock()
     }
 
-    /// Executes `query` over a frozen table, returning the exact result and
-    /// modelled/measured costs. This is the shared scan kernel behind both
-    /// the [`ExecutionSite`] impl and the Figure-4 CPU baselines.
-    ///
-    /// The scan runs on the same scoped thread pool as the plan pipeline:
-    /// fixed [`h2tap_common::PLAN_CHUNK_ROWS`] chunks are evaluated by up to
-    /// `cores` workers (per-chunk min/max zonemaps skip chunks that cannot
-    /// qualify first) and the per-chunk partials merge in ascending chunk
-    /// order. Because the chunk evaluation and merge order come from the
-    /// shared [`operators`] data path, `ScanAggQuery` f64 answers are
-    /// byte-identical to the GPU site's, for any thread count.
-    pub fn execute_scan(&self, table: &SnapshotTable, query: &ScanAggQuery) -> Result<CpuOlapResult> {
-        let started = Instant::now();
-        // Copy the spec out: core migration may change it mid-scan, and the
-        // whole scan must be costed against one consistent spec.
-        let spec = self.spec();
-        let cols = query.columns_accessed();
-        let total_rows = table.row_count();
-        let mat = self.cache.materialized(table, cols.clone())?;
-        let chunks = mat.chunk_count();
-        let threads = (spec.cores as usize).clamp(1, MAX_PLAN_THREADS).min(chunks);
-        let use_zonemaps = self.profile.use_zonemaps && !query.predicates.is_empty();
-        let evaluated: Vec<Option<ScanChunkPartial>> = run_chunked(chunks, threads, |i| {
-            if use_zonemaps && !operators::scan_chunk_can_qualify(&mat, &query.predicates, i) {
-                // Zonemap skip: the chunk provably holds no qualifying row
-                // (judged in O(#predicates) from the stats built at
-                // materialisation time), so its partial is exactly zero and
-                // omitting it from the merge cannot change the f64 answer.
-                return None;
-            }
-            Some(operators::scan_chunk(&mat, query, mat.chunk_range(i)))
-        });
-        let mut rows_scanned = 0u64;
-        let mut chunks_skipped = 0u64;
-        let mut kept: Vec<ScanChunkPartial> = Vec::with_capacity(chunks);
-        for (i, partial) in evaluated.into_iter().enumerate() {
-            match partial {
-                Some(p) => {
-                    rows_scanned += mat.chunk_range(i).len() as u64;
-                    kept.push(p);
-                }
-                None => chunks_skipped += 1,
-            }
-        }
-        let (value, qualifying) = operators::merge_scan_partials(kept);
-
-        // Analytical time model: the scan is memory-bandwidth bound; zonemap
-        // skipping reduces the bytes moved (predicate columns of skipped
-        // chunks are still summarised by the index, charged at 1% of their
-        // size), and per-tuple work is spread over all cores.
-        let accessed_width: u64 =
-            cols.iter().map(|&c| table.schema.attr(c).map(|a| a.ty.width() as u64).unwrap_or(8)).sum();
-        let scanned_bytes = rows_scanned * accessed_width;
-        let skipped_bytes = (total_rows - rows_scanned.min(total_rows)) * accessed_width;
-        let bytes_moved = scanned_bytes + skipped_bytes / 100;
-        let bandwidth_time = bytes_moved as f64 / (spec.mem_bandwidth_gbps * 1e9);
-        let cpu_time = rows_scanned as f64 * self.profile.per_tuple_ns * 1e-9 / f64::from(spec.cores.max(1));
-        let breakdown = ExecBreakdown::new(bandwidth_time, cpu_time, 0.0);
-        let sim_time = SimDuration::from_secs_f64(overlap_secs(bandwidth_time, cpu_time));
-
-        Ok(CpuOlapResult {
-            value,
-            qualifying_rows: qualifying,
-            rows_scanned,
-            chunks_skipped,
-            threads_used: threads,
-            sim_time,
-            breakdown,
-            wall_time: started.elapsed(),
-        })
-    }
-
     /// Executes a relational plan over frozen tables: builds the join hash
     /// table from the filtered build side, then runs the probe/aggregate
     /// pipeline chunk-by-chunk **on a scoped thread pool sized by the
     /// engine's current core count**, so wall-clock time scales with
-    /// migrated cores and not only the simulated cost. Chunk boundaries and
+    /// migrated cores and not only the simulated cost. With zonemaps enabled
+    /// in the profile, chunks the probe predicates provably reject are
+    /// skipped. This is the one execution path behind both the
+    /// [`ExecutionSite`] impl and the Figure-4 CPU baselines. Chunk boundaries and
     /// the merge order are fixed by the plan IR (see
     /// [`h2tap_common::plan`]), which is why the parallel schedule cannot
     /// perturb the f64 aggregates: every chunk's partial is deterministic
@@ -325,16 +239,34 @@ impl CpuOlapEngine {
         let chunks = mat.chunk_count();
         let threads = (spec.cores as usize).clamp(1, MAX_PLAN_THREADS).min(chunks);
 
-        let partials: Vec<ChunkPartial> =
-            run_chunked(chunks, threads, |i| operators::process_chunk(&mat, plan, hash.as_deref(), mat.chunk_range(i)));
+        let use_zonemaps = self.profile.use_zonemaps && !plan.predicates.is_empty();
+        let evaluated: Vec<Option<ChunkPartial>> = run_chunked(chunks, threads, |i| {
+            // Zonemap skip: the chunk provably holds no qualifying row
+            // (judged in O(#predicates) from the stats built at
+            // materialisation time), so its partial is empty and omitting it
+            // from the merge cannot change a bit of the answer.
+            (!use_zonemaps || operators::chunk_can_qualify(&mat, &plan.predicates, i))
+                .then(|| operators::process_chunk(&mat, plan, hash.as_deref(), mat.chunk_range(i)))
+        });
+        let mut rows_scanned = 0u64;
+        let mut partials: Vec<ChunkPartial> = Vec::with_capacity(chunks);
+        for (i, partial) in evaluated.into_iter().enumerate() {
+            if let Some(p) = partial {
+                rows_scanned += mat.chunk_range(i).len() as u64;
+                partials.push(p);
+            }
+        }
+        let chunks_skipped = (chunks - partials.len()) as u64;
         let (groups, totals) = operators::merge_partials(plan, partials);
 
-        // Analytical time model, same frame of reference as the scan path:
-        // streamed column bytes plus cache-line-granular random traffic for
+        // Analytical time model: streaming is memory-bandwidth bound
+        // (zonemap-skipped chunks are still summarised by the index, charged
+        // at 1% of their size) plus cache-line-granular random traffic for
         // hash probes and group updates, overlapped with per-tuple work
         // spread across the cores.
-        let mut bytes_moved = plan.probe_scan_bytes(&probe_table.schema, rows);
-        let mut tuple_ns = rows as f64 * self.profile.per_tuple_ns;
+        let row_bytes = plan.probe_scan_bytes(&probe_table.schema, 1);
+        let mut bytes_moved = rows_scanned * row_bytes + (rows - rows_scanned) * row_bytes / 100;
+        let mut tuple_ns = rows_scanned as f64 * self.profile.per_tuple_ns;
         if let (Some(hash), Some(build)) = (hash.as_ref(), build_table) {
             bytes_moved += plan.build_scan_bytes(&build.schema, build.row_count());
             tuple_ns += hash.build_rows_in as f64 * self.profile.per_tuple_ns;
@@ -353,6 +285,8 @@ impl CpuOlapEngine {
         Ok(CpuPlanResult {
             groups,
             qualifying_rows: totals.joined,
+            rows_scanned,
+            chunks_skipped,
             threads_used: threads,
             sim_time,
             breakdown,
@@ -385,27 +319,6 @@ impl ExecutionSite for CpuOlapEngine {
 
     fn unregister_table(&self, handle: RegisteredTable) {
         self.registered.lock().remove(&handle.tag());
-    }
-
-    fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        if !self.registered.lock().contains(&handle.tag()) {
-            return Err(H2Error::InvalidKernel("table not registered with the CPU site".into()));
-        }
-        if table.row_count() == 0 {
-            return Err(H2Error::InvalidKernel("cannot execute a query over an empty table".into()));
-        }
-        let result = self.execute_scan(table, query)?;
-        let out = OlapOutcome {
-            value: result.value,
-            qualifying_rows: result.qualifying_rows,
-            time: result.sim_time,
-            kernels: Vec::new(),
-            interconnect_bytes: 0,
-            breakdown: result.breakdown,
-            site: OlapTarget::Cpu,
-        };
-        emit_execution_spans(&self.tracer, out.site, &out.kernels, &out.breakdown, out.time, out.interconnect_bytes);
-        Ok(out)
     }
 
     fn execute_plan(
@@ -471,7 +384,7 @@ impl ExecutionSite for CpuOlapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, Schema, Value};
+    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_storage::{Database, Layout};
 
     /// Builds a 2-column table: col0 = 0..n (sorted), col1 = col0 * 2.
@@ -486,16 +399,20 @@ mod tests {
         snap.table(t).unwrap().clone()
     }
 
+    fn scan(engine: &CpuOlapEngine, t: &SnapshotTable, query: &ScanAggQuery) -> CpuPlanResult {
+        engine.execute_plan_pipeline(t, None, &OlapPlan::scan(query)).unwrap()
+    }
+
     #[test]
     fn both_profiles_compute_the_same_exact_answer() {
         let t = table(10_000);
         let query =
             ScanAggQuery { predicates: vec![Predicate::between(0, 0.0, 999.0)], aggregate: AggExpr::SumProduct(0, 1) };
-        let vectorized = CpuOlapEngine::new(CpuScanProfile::vectorized()).execute_scan(&t, &query).unwrap();
-        let materializing = CpuOlapEngine::new(CpuScanProfile::materializing()).execute_scan(&t, &query).unwrap();
+        let vectorized = scan(&CpuOlapEngine::new(CpuScanProfile::vectorized()), &t, &query);
+        let materializing = scan(&CpuOlapEngine::new(CpuScanProfile::materializing()), &t, &query);
         let expected: f64 = (0..1000).map(|i| (i * i * 2) as f64).sum();
-        assert_eq!(vectorized.value, expected);
-        assert_eq!(materializing.value, expected);
+        assert_eq!(vectorized.groups[0].values[0], expected);
+        assert_eq!(materializing.groups[0].values[0], expected);
         assert_eq!(vectorized.qualifying_rows, 1000);
     }
 
@@ -504,9 +421,9 @@ mod tests {
         // col0 is inserted in sorted order, so zonemaps can skip chunks.
         let t = table(300_000);
         let query = ScanAggQuery { predicates: vec![Predicate::between(0, 0.0, 9_999.0)], aggregate: AggExpr::Count };
-        let skipping = CpuOlapEngine::new(CpuScanProfile::vectorized()).execute_scan(&t, &query).unwrap();
-        let full = CpuOlapEngine::new(CpuScanProfile::materializing()).execute_scan(&t, &query).unwrap();
-        assert_eq!(skipping.value, 10_000.0);
+        let skipping = scan(&CpuOlapEngine::new(CpuScanProfile::vectorized()), &t, &query);
+        let full = scan(&CpuOlapEngine::new(CpuScanProfile::materializing()), &t, &query);
+        assert_eq!(skipping.groups[0].values[0], 10_000.0);
         assert!(skipping.chunks_skipped > 0, "zonemaps should skip chunks on sorted data");
         assert_eq!(full.chunks_skipped, 0);
         assert!(skipping.rows_scanned < full.rows_scanned);
@@ -516,10 +433,9 @@ mod tests {
     #[test]
     fn count_without_predicates_needs_no_columns() {
         let t = table(1_234);
-        let r = CpuOlapEngine::new(CpuScanProfile::vectorized())
-            .execute_scan(&t, &ScanAggQuery::aggregate_only(AggExpr::Count))
-            .unwrap();
-        assert_eq!(r.value, 1_234.0);
+        let r =
+            scan(&CpuOlapEngine::new(CpuScanProfile::vectorized()), &t, &ScanAggQuery::aggregate_only(AggExpr::Count));
+        assert_eq!(r.groups[0].values[0], 1_234.0);
         assert_eq!(r.qualifying_rows, 1_234);
     }
 
@@ -529,8 +445,8 @@ mod tests {
         let big = table(100_000);
         let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
         let engine = CpuOlapEngine::new(CpuScanProfile::materializing());
-        let ts = engine.execute_scan(&small, &query).unwrap().sim_time;
-        let tb = engine.execute_scan(&big, &query).unwrap().sim_time;
+        let ts = scan(&engine, &small, &query).sim_time;
+        let tb = scan(&engine, &big, &query).sim_time;
         let ratio = tb.as_secs_f64() / ts.as_secs_f64();
         assert!((8.0..12.5).contains(&ratio), "ratio {ratio}");
     }
@@ -538,12 +454,12 @@ mod tests {
     #[test]
     fn core_migration_speeds_up_the_cpu_site() {
         let t = table(500_000);
-        let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1]));
+        let plan = OlapPlan::scan(&ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0, 1])));
         let site = CpuOlapEngine::archipelago_default(2);
         let handle = site.register_table(&t, "t").unwrap();
-        let slow = ExecutionSite::execute(&site, handle, &t, &query).unwrap().time;
+        let slow = site.execute_plan(handle, &t, None, &plan).unwrap().time;
         site.set_cores(16);
-        let fast = ExecutionSite::execute(&site, handle, &t, &query).unwrap().time;
+        let fast = site.execute_plan(handle, &t, None, &plan).unwrap().time;
         assert!(fast < slow, "16 cores {fast} should beat 2 cores {slow}");
     }
 
@@ -553,8 +469,8 @@ mod tests {
         let site = CpuOlapEngine::archipelago_default(4);
         let handle = site.register_table(&t, "t").unwrap();
         site.reset_tables();
-        let query = ScanAggQuery::aggregate_only(AggExpr::Count);
-        assert!(ExecutionSite::execute(&site, handle, &t, &query).is_err());
+        let plan = OlapPlan::scan(&ScanAggQuery::aggregate_only(AggExpr::Count));
+        assert!(site.execute_plan(handle, &t, None, &plan).is_err());
     }
 
     /// Dimension table: key = i, size = i % 7, class = i % 4.
@@ -641,6 +557,33 @@ mod tests {
             assert_eq!(g.rows, rows);
             assert!((g.values[0] - sum).abs() < 1e-9, "class {}: {} vs {sum}", g.key, g.values[0]);
             assert_eq!(g.values[1], rows as f64);
+        }
+    }
+
+    #[test]
+    fn clustered_join_plans_skip_chunks_and_match_the_reference() {
+        // col0 is sorted, so the probe predicate rejects every chunk but the
+        // first; the join and group-by run over the surviving chunk only.
+        let fact = fact_table(300_000);
+        let dim = dim_table(50);
+        let plan = h2tap_common::OlapPlan { predicates: vec![Predicate::between(0, 0.0, 9_999.0)], ..class_plan() };
+        let skipping = CpuOlapEngine::archipelago_default(4).execute_plan_pipeline(&fact, Some(&dim), &plan).unwrap();
+        assert!(skipping.chunks_skipped > 0, "zonemaps must skip chunks of the clustered probe column");
+        assert_eq!(skipping.rows_scanned, h2tap_common::PLAN_CHUNK_ROWS as u64);
+
+        let group_col = operators::check_plan(&plan, true).unwrap();
+        let hash = operators::build_hash_table(&dim, plan.join.as_ref().unwrap(), group_col).unwrap();
+        let mat = operators::MaterializedColumns::new(&fact, plan.probe_columns_accessed()).unwrap();
+        let partials = (0..mat.chunk_count())
+            .map(|i| operators::process_chunk_reference(&mat, &plan, Some(&hash), mat.chunk_range(i)))
+            .collect();
+        let (reference, totals) = operators::merge_partials(&plan, partials);
+        assert_eq!(skipping.qualifying_rows, totals.joined);
+        assert_eq!(skipping.groups.len(), reference.len());
+        for (got, want) in skipping.groups.iter().zip(&reference) {
+            assert_eq!((got.key, got.rows), (want.key, want.rows));
+            let bits = |g: &GroupRow| g.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want), "group {}", got.key);
         }
     }
 

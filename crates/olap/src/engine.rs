@@ -6,19 +6,20 @@
 //! operator by executing the corresponding CUDA kernels one at a time while
 //! using UVA to store all input, intermediate, and output data."
 //!
-//! [`GpuOlapEngine`] follows that model: a [`ScanAggQuery`] becomes one
+//! [`GpuOlapEngine`] follows that model. A scan-shaped [`OlapPlan`] (see
+//! [`OlapPlan::is_scan`], the image of a `ScanAggQuery`) becomes one
 //! selection kernel per predicate (each producing/consuming a selection
-//! bitmap) followed by one aggregation kernel. Every kernel computes its real
-//! answer on the host while its cost is charged to the [`GpuDevice`] model
-//! according to the table's layout (coalesced for DSM/PAX, strided for NSM)
-//! and the configured access mode (memcpy / UVA / UM / device-resident).
+//! bitmap) followed by one aggregation kernel; any other plan adds hash
+//! build/probe, partial-aggregation and merge kernels. The real answer is
+//! computed on the host while each kernel's cost is charged to the
+//! [`GpuDevice`] model according to the table's layout (coalesced for
+//! DSM/PAX, strided for NSM) and the configured access mode (memcpy / UVA /
+//! UM / device-resident).
 
 use crate::cache::PlanDataCache;
 use crate::operators::{self, ChunkPartial};
 use crate::site::{emit_execution_spans, ExecutionSite};
-use h2tap_common::{
-    ExecBreakdown, GroupRow, H2Error, OlapPlan, PlanColumn, Result, ScanAggQuery, SimDuration, HASH_ENTRY_BYTES,
-};
+use h2tap_common::{ExecBreakdown, GroupRow, H2Error, OlapPlan, PlanColumn, Result, SimDuration, HASH_ENTRY_BYTES};
 use h2tap_gpu_sim::{
     AccessMode, AccessPattern, BufferId, GpuDevice, KernelDesc, KernelMetrics, MemoryManager, Residency,
     TransferDirection,
@@ -41,7 +42,8 @@ pub enum DataPlacement {
     DeviceResident,
 }
 
-/// Result of one analytical query execution.
+/// Result of one scan-and-aggregate query (`Caldera::run_olap*`): the
+/// scalar projection of a scan-shaped plan's [`PlanOutcome`].
 #[derive(Debug, Clone)]
 pub struct OlapOutcome {
     /// The aggregate value (exact, computed over the real data).
@@ -61,6 +63,23 @@ pub struct OlapOutcome {
     pub breakdown: ExecBreakdown,
     /// The execution site that answered the query.
     pub site: OlapTarget,
+}
+
+impl From<PlanOutcome> for OlapOutcome {
+    /// Projects the outcome of a scan-shaped plan onto its single value: the
+    /// first aggregate of the global group (0.0 if the plan grouped, which a
+    /// scan-shaped plan never does).
+    fn from(out: PlanOutcome) -> Self {
+        Self {
+            value: out.single_value().unwrap_or(0.0),
+            qualifying_rows: out.qualifying_rows,
+            time: out.time,
+            kernels: out.kernels,
+            interconnect_bytes: out.interconnect_bytes,
+            breakdown: out.breakdown,
+            site: out.site,
+        }
+    }
 }
 
 /// Result of one relational-plan execution: per-group aggregates plus the
@@ -122,6 +141,56 @@ pub(crate) fn accumulate_residency(mem: &MemoryManager, id: BufferId, total: &mu
         Residency::HostUm { resident_pages, .. } => (resident_pages * mem.page_bytes()).min(info.bytes),
         Residency::HostUva => 0,
     };
+}
+
+/// Host-to-device bytes an explicit-copy placement transfers for a
+/// scan-shaped plan over `rows` rows: the accessed columns, or for NSM an
+/// equal share of the record width per accessed column.
+pub(crate) fn scan_copy_bytes(table: &SnapshotTable, cols: &[usize], rows: u64) -> Result<u64> {
+    let mut bytes = 0u64;
+    for &attr in cols {
+        let width = table.schema.attr(attr)?.ty.width() as u64;
+        bytes += match table.layout {
+            Layout::Nsm => rows * table.schema.record_width() as u64 / cols.len() as u64,
+            _ => rows * width,
+        };
+    }
+    Ok(bytes)
+}
+
+/// The aggregation kernel of a scan-shaped plan over `rows` rows (reads of
+/// the aggregate's columns are added by the caller). With predicates it
+/// also streams the selection bitmap, one flop more per element.
+pub(crate) fn scan_aggregate_kernel(name: String, rows: u64, plan: &OlapPlan) -> KernelDesc {
+    let agg_cols = plan.aggregates[0].columns().len() as f64;
+    let flops = if plan.predicates.is_empty() { 1.0 } else { 2.0 } + agg_cols;
+    KernelDesc::new(name, rows).flops_per_element(flops).write(8)
+}
+
+/// The exact answer of `plan`, computed on the host through the data path
+/// every site shares — fixed chunking, ascending chunk order, chunk-ordered
+/// merge — so the groups are byte-identical across sites. The materialised
+/// columns and hash table come from the shared plan-data cache.
+pub(crate) fn host_answer(
+    cache: &PlanDataCache,
+    probe_table: &SnapshotTable,
+    build_table: Option<&SnapshotTable>,
+    plan: &OlapPlan,
+) -> Result<(Vec<GroupRow>, operators::PlanTotals)> {
+    Ok(operators::merge_partials(plan, host_partials(cache, probe_table, build_table, plan)?))
+}
+
+/// The per-chunk partials behind [`host_answer`], in ascending chunk order.
+pub(crate) fn host_partials(
+    cache: &PlanDataCache,
+    probe_table: &SnapshotTable,
+    build_table: Option<&SnapshotTable>,
+    plan: &OlapPlan,
+) -> Result<Vec<ChunkPartial>> {
+    let operators::PlanData { mat, hash } = cache.prepare_plan(probe_table, build_table, plan)?;
+    Ok((0..mat.chunk_count())
+        .map(|i| operators::process_chunk(&mat, plan, hash.as_deref(), mat.chunk_range(i)))
+        .collect())
 }
 
 /// The device model plus the registration maps it owns — everything one
@@ -337,113 +406,6 @@ impl GpuOlapEngine {
         }
     }
 
-    /// Executes `query` against a registered snapshot table: one selection
-    /// kernel per predicate (each producing a selection bitmap) followed by
-    /// one aggregation kernel, each charged to the device model. The real
-    /// answer is computed on the host through the shared chunked scan path
-    /// ([`operators::scan_chunk`] over fixed [`h2tap_common::PLAN_CHUNK_ROWS`]
-    /// chunks, merged in ascending chunk order), so `ScanAggQuery` f64
-    /// answers are **byte-identical** to the CPU site's for the same
-    /// snapshot — the same contract relational plans already have.
-    pub fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        let rows = table.row_count();
-        if rows == 0 {
-            return Err(H2Error::InvalidKernel("cannot execute a query over an empty table".into()));
-        }
-        let mut kernels = Vec::new();
-        let mut total = SimDuration::ZERO;
-        let mut interconnect_bytes = 0u64;
-        let mut breakdown = ExecBreakdown::default();
-
-        // Every kernel of a scan is row-count-dependent, so the whole charge
-        // pass runs in one device-lock session, *before* the host compute.
-        let mut state = self.dev.lock();
-
-        // Explicit-copy placement pays the host-to-device transfer of every
-        // accessed column before the first kernel (the "memcpy" bars of
-        // Figure 1).
-        if handle.explicit_copy {
-            let mut bytes = 0u64;
-            for &attr in &query.columns_accessed() {
-                let width = table.schema.attr(attr)?.ty.width() as u64;
-                bytes += match table.layout {
-                    Layout::Nsm => rows * table.schema.record_width() as u64 / query.columns_accessed().len() as u64,
-                    _ => rows * width,
-                };
-            }
-            let copy = state.device.memcpy(bytes, TransferDirection::HostToDevice);
-            total += copy;
-            breakdown.stream_secs += copy.as_secs_f64();
-            interconnect_bytes += bytes;
-        }
-
-        let mut charge = |device: &mut GpuDevice, desc: &KernelDesc| -> Result<()> {
-            let metrics = device.account(desc)?;
-            total += metrics.time;
-            interconnect_bytes += metrics.interconnect_bytes;
-            // Launch latency is the fixed dispatch cost; everything else in
-            // the launch is data movement (or compute hidden behind it).
-            breakdown.overhead_secs += metrics.launch_overhead.as_secs_f64();
-            breakdown.stream_secs += metrics.time.saturating_sub(metrics.launch_overhead).as_secs_f64();
-            breakdown.compute_secs += metrics.compute_time.as_secs_f64();
-            kernels.push(metrics);
-            Ok(())
-        };
-
-        // Selection kernels: one per predicate, producing a selection bitmap.
-        for (i, pred) in query.predicates.iter().enumerate() {
-            let (buffer, useful, pattern) = state.read_plan(handle, table, pred.column)?;
-            let desc = KernelDesc::new(format!("select_{i}"), rows)
-                .flops_per_element(2.0)
-                .read(buffer, useful, pattern)
-                // The bitmap write (1 bit per row, byte-packed here).
-                .write(rows.div_ceil(8));
-            charge(&mut state.device, &desc)?;
-        }
-
-        // Aggregation kernel.
-        let agg_cols = query.aggregate.columns();
-        let mut desc = KernelDesc::new("aggregate", rows).flops_per_element(1.0 + agg_cols.len() as f64);
-        for &attr in &agg_cols {
-            let (buffer, useful, pattern) = state.read_plan(handle, table, attr)?;
-            desc = desc.read(buffer, useful, pattern);
-        }
-        if !query.predicates.is_empty() {
-            // The aggregation kernel also streams the selection bitmap.
-            desc = desc.flops_per_element(2.0 + agg_cols.len() as f64);
-        }
-        desc = desc.write(8);
-        charge(&mut state.device, &desc)?;
-        drop(state);
-
-        // Host-side data path, shared with the CPU site: same chunking, same
-        // per-chunk row order, same merge order — bit-equal answers. The
-        // materialised columns come from the shared plan-data cache, so a
-        // repeat of this query (on any site) skips the re-materialisation.
-        // Runs with the device lock *released*: this is the real wall-clock
-        // work, and concurrent queries must overlap here.
-        let mat = self.cache.materialized(table, query.columns_accessed())?;
-        let partials = (0..mat.chunk_count()).map(|i| operators::scan_chunk(&mat, query, mat.chunk_range(i)));
-        let (value, qualifying_rows) = operators::merge_scan_partials(partials);
-
-        // Explicit-copy placement copies the (tiny) result back.
-        if handle.explicit_copy {
-            let copy = self.dev.lock().device.memcpy(8, TransferDirection::DeviceToHost);
-            total += copy;
-            breakdown.stream_secs += copy.as_secs_f64();
-        }
-
-        Ok(OlapOutcome {
-            value,
-            qualifying_rows,
-            time: total,
-            kernels,
-            interconnect_bytes,
-            breakdown,
-            site: OlapTarget::Gpu,
-        })
-    }
-
     /// Executes a relational plan kernel-at-a-time: selection kernels over
     /// the probe predicates, a hash-build kernel over the (filtered) build
     /// table, a hash-probe kernel whose table lookups are data-dependent
@@ -487,7 +449,10 @@ impl GpuOlapEngine {
         plan: &OlapPlan,
         scratch: &mut Vec<BufferId>,
     ) -> Result<PlanOutcome> {
-        operators::check_plan(plan, build.is_some())?;
+        operators::check_plan_tables(probe_table, build.map(|(_, t)| t), plan)?;
+        if plan.is_scan() {
+            return self.execute_scan_plan(probe, probe_table, plan);
+        }
         let rows = probe_table.row_count();
 
         let mut kernels = Vec::new();
@@ -572,12 +537,9 @@ impl GpuOlapEngine {
         // kernels around it charge the simulated cost of this same pipeline.
         // Runs with the device lock *released*: this is the real wall-clock
         // work, and concurrent queries must overlap here.
-        let operators::PlanData { mat, hash } = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
-        let partials: Vec<ChunkPartial> = (0..mat.chunk_count())
-            .map(|i| operators::process_chunk(&mat, plan, hash.as_deref(), mat.chunk_range(i)))
-            .collect();
+        let partials = host_partials(&self.cache, probe_table, build.map(|(_, t)| t), plan)?;
+        let n_chunks = partials.len() as u64;
         let (groups, totals) = operators::merge_partials(plan, partials);
-        let n_chunks = mat.chunk_count() as u64;
         let n_groups = groups.len().max(1) as u64;
         // One group slot holds the key, one f64 per aggregate, and the count.
         let group_entry_bytes = (2 + plan.aggregates.len() as u64) * 8;
@@ -655,6 +617,88 @@ impl GpuOlapEngine {
         })
     }
 
+    /// The filtered-scan kernel schedule of a scan-shaped plan
+    /// ([`OlapPlan::is_scan`]): one selection kernel per predicate (each
+    /// producing a selection bitmap) and one aggregation kernel, all charged
+    /// in one device-lock session — no partial-group arena and no merge
+    /// launch, because the single global accumulator stays in registers.
+    fn execute_scan_plan(
+        &self,
+        handle: RegisteredTable,
+        table: &SnapshotTable,
+        plan: &OlapPlan,
+    ) -> Result<PlanOutcome> {
+        let rows = table.row_count();
+        let cols = plan.probe_columns_accessed();
+        let mut kernels = Vec::new();
+        let mut total = SimDuration::ZERO;
+        let mut interconnect_bytes = 0u64;
+        let mut breakdown = ExecBreakdown::default();
+
+        // Every kernel of a scan is row-count-dependent, so the whole charge
+        // pass runs in one device-lock session, *before* the host compute.
+        let mut state = self.dev.lock();
+
+        // Explicit-copy placement pays the host-to-device transfer of every
+        // accessed column before the first kernel (the "memcpy" bars of
+        // Figure 1) and copies the 8-byte result back.
+        if handle.explicit_copy {
+            let bytes = scan_copy_bytes(table, &cols, rows)?;
+            let copy = state.device.memcpy(bytes, TransferDirection::HostToDevice);
+            total += copy;
+            breakdown.stream_secs += copy.as_secs_f64();
+            interconnect_bytes += bytes;
+        }
+
+        let mut charge = |device: &mut GpuDevice, desc: &KernelDesc| -> Result<()> {
+            let metrics = device.account(desc)?;
+            total += metrics.time;
+            interconnect_bytes += metrics.interconnect_bytes;
+            // Launch latency is the fixed dispatch cost; everything else in
+            // the launch is data movement (or compute hidden behind it).
+            breakdown.overhead_secs += metrics.launch_overhead.as_secs_f64();
+            breakdown.stream_secs += metrics.time.saturating_sub(metrics.launch_overhead).as_secs_f64();
+            breakdown.compute_secs += metrics.compute_time.as_secs_f64();
+            kernels.push(metrics);
+            Ok(())
+        };
+        for (i, pred) in plan.predicates.iter().enumerate() {
+            let (buffer, useful, pattern) = state.read_plan(handle, table, pred.column)?;
+            let desc = KernelDesc::new(format!("select_{i}"), rows)
+                .flops_per_element(2.0)
+                .read(buffer, useful, pattern)
+                // The bitmap write (1 bit per row, byte-packed here).
+                .write(rows.div_ceil(8));
+            charge(&mut state.device, &desc)?;
+        }
+        let mut desc = scan_aggregate_kernel("aggregate".into(), rows, plan);
+        for &attr in &plan.aggregates[0].columns() {
+            let (buffer, useful, pattern) = state.read_plan(handle, table, attr)?;
+            desc = desc.read(buffer, useful, pattern);
+        }
+        charge(&mut state.device, &desc)?;
+        if handle.explicit_copy {
+            let copy = state.device.memcpy(8, TransferDirection::DeviceToHost);
+            total += copy;
+            breakdown.stream_secs += copy.as_secs_f64();
+        }
+        drop(state);
+
+        // Host-side data path, shared with every site, with the device lock
+        // released: concurrent queries overlap here.
+        let (groups, totals) = host_answer(&self.cache, table, None, plan)?;
+        Ok(PlanOutcome {
+            groups,
+            qualifying_rows: totals.joined,
+            grouped: false,
+            time: total,
+            kernels,
+            interconnect_bytes,
+            breakdown,
+            site: OlapTarget::Gpu,
+        })
+    }
+
     /// Fraction of this engine's registered bytes already resident in device
     /// memory — the data-locality term of the placement heuristic. Explicit
     /// copies re-pay the transfer every query batch, so memcpy placement
@@ -700,12 +744,6 @@ impl ExecutionSite for GpuOlapEngine {
 
     fn unregister_table(&self, handle: RegisteredTable) {
         GpuOlapEngine::unregister_table(self, handle);
-    }
-
-    fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        let out = GpuOlapEngine::execute(self, handle, table, query)?;
-        emit_execution_spans(&self.tracer, out.site, &out.kernels, &out.breakdown, out.time, out.interconnect_bytes);
-        Ok(out)
     }
 
     fn execute_plan(
@@ -757,7 +795,7 @@ impl ExecutionSite for GpuOlapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, Schema, Value};
+    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_gpu_sim::GpuSpec;
     use h2tap_storage::{Database, Layout};
 
@@ -784,6 +822,10 @@ mod tests {
         GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), placement)
     }
 
+    fn scan(eng: &GpuOlapEngine, h: RegisteredTable, t: &SnapshotTable, q: &ScanAggQuery) -> Result<OlapOutcome> {
+        eng.execute_plan(h, t, None, &OlapPlan::scan(q)).map(OlapOutcome::from)
+    }
+
     fn bucket_query() -> ScanAggQuery {
         ScanAggQuery { predicates: vec![Predicate::between(1, 0.0, 4.0)], aggregate: AggExpr::SumProduct(1, 2) }
     }
@@ -793,7 +835,7 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 1000);
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
         let handle = eng.register_table(&table, "t").unwrap();
-        let out = eng.execute(handle, &table, &bucket_query()).unwrap();
+        let out = scan(&eng, handle, &table, &bucket_query()).unwrap();
         let expected: f64 = (0..1000).map(|i| i % 10).filter(|b| *b <= 4).map(|b| b as f64 * 2.5).sum();
         assert_eq!(out.value, expected);
         assert_eq!(out.qualifying_rows, 500);
@@ -809,7 +851,7 @@ mod tests {
             let table = snapshot_table(layout, 500);
             let eng = engine(DataPlacement::Host(AccessMode::Uva));
             let handle = eng.register_table(&table, "t").unwrap();
-            answers.push(eng.execute(handle, &table, &query).unwrap().value);
+            answers.push(scan(&eng, handle, &table, &query).unwrap().value);
         }
         assert!(answers.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9), "{answers:?}");
     }
@@ -822,7 +864,7 @@ mod tests {
             let table = snapshot_table(layout, 200_000);
             let eng = engine(DataPlacement::Host(AccessMode::Uva));
             let handle = eng.register_table(&table, "t").unwrap();
-            times.push(eng.execute(handle, &table, &query).unwrap().time.as_secs_f64());
+            times.push(scan(&eng, handle, &table, &query).unwrap().time.as_secs_f64());
         }
         assert!(times[1] > 1.5 * times[0], "NSM {} DSM {}", times[1], times[0]);
     }
@@ -835,7 +877,7 @@ mod tests {
             let table = snapshot_table(layout, 200_000);
             let eng = engine(DataPlacement::Host(AccessMode::Uva));
             let handle = eng.register_table(&table, "t").unwrap();
-            times.push(eng.execute(handle, &table, &query).unwrap().time.as_secs_f64());
+            times.push(scan(&eng, handle, &table, &query).unwrap().time.as_secs_f64());
         }
         let ratio = times[1] / times[0];
         assert!((0.95..1.2).contains(&ratio), "PAX/DSM ratio {ratio}");
@@ -847,8 +889,8 @@ mod tests {
         let eng = engine(DataPlacement::Host(AccessMode::UnifiedMemory));
         let handle = eng.register_table(&table, "t").unwrap();
         let q = bucket_query();
-        let first = eng.execute(handle, &table, &q).unwrap();
-        let second = eng.execute(handle, &table, &q).unwrap();
+        let first = scan(&eng, handle, &table, &q).unwrap();
+        let second = scan(&eng, handle, &table, &q).unwrap();
         assert_eq!(first.value, second.value);
         assert!(first.time > second.time, "first {} second {}", first.time, second.time);
         assert_eq!(second.interconnect_bytes, 0);
@@ -860,10 +902,10 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 500_000);
         let uva = engine(DataPlacement::Host(AccessMode::Uva));
         let h1 = uva.register_table(&table, "t").unwrap();
-        let t_uva = uva.execute(h1, &table, &q).unwrap().time;
+        let t_uva = scan(&uva, h1, &table, &q).unwrap().time;
         let dev = engine(DataPlacement::DeviceResident);
         let h2 = dev.register_table(&table, "t").unwrap();
-        let t_dev = dev.execute(h2, &table, &q).unwrap().time;
+        let t_dev = scan(&dev, h2, &table, &q).unwrap().time;
         assert!(t_dev < t_uva, "device {} uva {}", t_dev, t_uva);
     }
 
@@ -872,7 +914,7 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 100_000);
         let eng = engine(DataPlacement::Host(AccessMode::Memcpy));
         let handle = eng.register_table(&table, "t").unwrap();
-        let out = eng.execute(handle, &table, &bucket_query()).unwrap();
+        let out = scan(&eng, handle, &table, &bucket_query()).unwrap();
         assert!(out.interconnect_bytes > 0);
     }
 
@@ -884,7 +926,7 @@ mod tests {
         let table = snap.table(t).unwrap().clone();
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
         let handle = eng.register_table(&table, "t").unwrap();
-        assert!(eng.execute(handle, &table, &bucket_query()).is_err());
+        assert!(scan(&eng, handle, &table, &bucket_query()).is_err());
     }
 
     /// Build table keyed 0..10: key = i, size = i, brand = i % 3.
@@ -945,7 +987,7 @@ mod tests {
         eng.unregister_table(h2);
         assert_eq!(eng.device_used_bytes(), after_first, "only t2's buffers are freed");
         // t1 stays fully queryable.
-        let out = eng.execute(h1, &t1, &bucket_query()).unwrap();
+        let out = scan(&eng, h1, &t1, &bucket_query()).unwrap();
         assert_eq!(out.qualifying_rows, 5_000);
     }
 
@@ -1023,15 +1065,23 @@ mod tests {
 
     #[test]
     fn scan_plan_matches_the_scan_query_answer() {
+        // A scan-shaped plan is charged the filtered-scan schedule: select
+        // and aggregate kernels only. Any other plan over the same scan
+        // keeps the plan schedule's partial aggregation and merge.
         let probe = snapshot_table(Layout::Dsm, 5_000);
-        let query = bucket_query();
-        let plan = OlapPlan::scan(&query);
         let eng = engine(DataPlacement::Host(AccessMode::Uva));
         let handle = eng.register_table(&probe, "t").unwrap();
-        let scan = eng.execute(handle, &probe, &query).unwrap();
-        let planned = eng.execute_plan(handle, &probe, None, &plan).unwrap();
-        assert_eq!(planned.qualifying_rows, scan.qualifying_rows);
-        let value = planned.single_value().expect("global group");
-        assert!((value - scan.value).abs() < 1e-9, "plan {value} scan {}", scan.value);
+        let scan_plan = OlapPlan::scan(&bucket_query());
+        let planned = eng.execute_plan(handle, &probe, None, &scan_plan).unwrap();
+        let expected: f64 = (0..5_000).map(|i| i % 10).filter(|b| *b <= 4).map(|b| b as f64 * 2.5).sum();
+        assert_eq!(planned.single_value(), Some(expected));
+        assert_eq!(planned.qualifying_rows, 2_500);
+        let names: Vec<&str> = planned.kernels.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(names, vec!["select_0", "aggregate"]);
+        let two_aggregates = OlapPlan { aggregates: vec![AggExpr::SumProduct(1, 2), AggExpr::Count], ..scan_plan };
+        let out = eng.execute_plan(handle, &probe, None, &two_aggregates).unwrap();
+        assert_eq!(out.groups[0].values[0], expected);
+        let names: Vec<&str> = out.kernels.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(names, vec!["select_0", "partial_aggregate", "merge_groups"]);
     }
 }

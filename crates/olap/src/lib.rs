@@ -23,9 +23,9 @@ mod simd;
 pub mod site;
 
 pub use cache::PlanDataCache;
-pub use cpu::{CpuOlapEngine, CpuOlapResult, CpuPlanResult, CpuScanProfile, CpuSpec};
+pub use cpu::{CpuOlapEngine, CpuPlanResult, CpuScanProfile, CpuSpec};
 pub use engine::{DataPlacement, GpuOlapEngine, OlapOutcome, PlanOutcome, RegisteredTable};
 pub use multi_gpu::{shard_chunk_indexes, shard_rows, MultiGpuOlapEngine};
-pub use operators::{merge_scan_partials, JoinHashTable, MaterializedColumns, ScanChunkPartial, VECTOR_BATCH_ROWS};
+pub use operators::{JoinHashTable, MaterializedColumns, VECTOR_BATCH_ROWS};
 pub use policy::SnapshotPolicy;
 pub use site::ExecutionSite;

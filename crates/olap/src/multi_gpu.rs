@@ -17,9 +17,9 @@
 //!   which device produced them or when it finished.
 //!
 //! Because the host-side data path is the shared [`operators`] pipeline over
-//! all chunks in ascending order, `ScanAggQuery` f64 answers and plan group
-//! rows are **byte-identical** to the CPU and single-GPU sites for any
-//! device mix and shard count. What differs is the simulated cost: each
+//! all chunks in ascending order, plan group rows (scan answers included)
+//! are **byte-identical** to the CPU and single-GPU sites for any device mix
+//! and shard count. What differs is the simulated cost: each
 //! device is charged its own kernels over its own shard, the devices run
 //! concurrently, and the site reports the **critical path** — the slowest
 //! device's time — which is why a fast+slow generation mix is bound by its
@@ -34,12 +34,11 @@
 //! against the **minimum per-device** free memory, not the sum.
 
 use crate::cache::PlanDataCache;
-use crate::engine::{DataPlacement, OlapOutcome, PlanOutcome, RegisteredTable};
+use crate::engine::{host_answer, scan_aggregate_kernel, scan_copy_bytes, DataPlacement, PlanOutcome, RegisteredTable};
 use crate::operators::{self, ChunkPartial};
 use crate::site::{emit_execution_spans, ExecutionSite};
 use h2tap_common::{
-    chunk_shard, ExecBreakdown, H2Error, OlapPlan, PlanColumn, Result, ScanAggQuery, SimDuration, HASH_ENTRY_BYTES,
-    PLAN_CHUNK_ROWS,
+    chunk_shard, ExecBreakdown, H2Error, OlapPlan, PlanColumn, Result, SimDuration, HASH_ENTRY_BYTES, PLAN_CHUNK_ROWS,
 };
 use h2tap_gpu_sim::{AccessMode, AccessPattern, BufferId, GpuDevice, KernelDesc, KernelMetrics, TransferDirection};
 use h2tap_obs::Tracer;
@@ -344,111 +343,6 @@ impl MultiGpuOlapEngine {
         *interconnect_bytes += bytes;
     }
 
-    /// Executes `query`: each device runs the selection and aggregation
-    /// kernels over its own shard concurrently, the site charges the slowest
-    /// device, and the exact answer is computed on the host through the
-    /// shared chunked scan path over **all** chunks in ascending order — so
-    /// the f64 answer is byte-identical to the CPU and single-GPU sites.
-    pub fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        if table.row_count() == 0 {
-            return Err(H2Error::InvalidKernel("cannot execute a query over an empty table".into()));
-        }
-        let mut kernels = Vec::new();
-        let mut interconnect_bytes = 0u64;
-        let mut critical = DeviceRun::default();
-
-        // Scan charges depend only on shard row counts: one lock session
-        // covers every device, then the host-side answer computes unlocked.
-        let mut state = self.devs.lock();
-        let per_device = state.device_shard_rows(handle)?.clone();
-
-        for (d, &rows_d) in per_device.iter().enumerate() {
-            if rows_d == 0 {
-                continue;
-            }
-            let mut run = DeviceRun::default();
-
-            // Explicit-copy placement pays each device's shard transfer
-            // up front (the devices copy over their own links, in parallel).
-            if handle.explicit_copy() {
-                let mut bytes = 0u64;
-                for &attr in &query.columns_accessed() {
-                    let width = table.schema.attr(attr)?.ty.width() as u64;
-                    bytes += match table.layout {
-                        Layout::Nsm => {
-                            rows_d * table.schema.record_width() as u64 / query.columns_accessed().len() as u64
-                        }
-                        _ => rows_d * width,
-                    };
-                }
-                Self::charge_transfer(
-                    &mut state.devices[d],
-                    bytes,
-                    TransferDirection::HostToDevice,
-                    &mut run,
-                    &mut interconnect_bytes,
-                );
-            }
-
-            // Selection kernels over the shard: one per predicate.
-            for (i, pred) in query.predicates.iter().enumerate() {
-                let (buffer, useful, pattern) = state.read_plan(handle, table, d, pred.column)?;
-                let desc = KernelDesc::new(format!("select_{i}.d{d}"), rows_d)
-                    .flops_per_element(2.0)
-                    .read(buffer, useful, pattern)
-                    .write(rows_d.div_ceil(8));
-                Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
-            }
-
-            // Aggregation kernel over the shard.
-            let agg_cols = query.aggregate.columns();
-            let mut desc =
-                KernelDesc::new(format!("aggregate.d{d}"), rows_d).flops_per_element(1.0 + agg_cols.len() as f64);
-            for &attr in &agg_cols {
-                let (buffer, useful, pattern) = state.read_plan(handle, table, d, attr)?;
-                desc = desc.read(buffer, useful, pattern);
-            }
-            if !query.predicates.is_empty() {
-                desc = desc.flops_per_element(2.0 + agg_cols.len() as f64);
-            }
-            desc = desc.write(8);
-            Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
-
-            if handle.explicit_copy() {
-                Self::charge_transfer(
-                    &mut state.devices[d],
-                    8,
-                    TransferDirection::DeviceToHost,
-                    &mut run,
-                    &mut interconnect_bytes,
-                );
-            }
-
-            if run.time > critical.time {
-                critical = run;
-            }
-        }
-        drop(state);
-
-        // Host-side data path shared with every other site: same chunking,
-        // same per-chunk row order, same ascending merge — bit-equal answers
-        // regardless of device mix or completion order. The materialisation
-        // comes from the shared plan-data cache.
-        let mat = self.cache.materialized(table, query.columns_accessed())?;
-        let partials = (0..mat.chunk_count()).map(|i| operators::scan_chunk(&mat, query, mat.chunk_range(i)));
-        let (value, qualifying_rows) = operators::merge_scan_partials(partials);
-
-        Ok(OlapOutcome {
-            value,
-            qualifying_rows,
-            time: critical.time,
-            kernels,
-            interconnect_bytes,
-            breakdown: critical.breakdown,
-            site: OlapTarget::MultiGpu,
-        })
-    }
-
     /// Executes a relational plan with the replicated-build multi-GPU join:
     /// per-device selection over the probe shard, local hash build over the
     /// build shard, an all-gather that replicates the hash table on every
@@ -485,7 +379,10 @@ impl MultiGpuOlapEngine {
         plan: &OlapPlan,
         scratch: &mut Vec<(usize, BufferId)>,
     ) -> Result<PlanOutcome> {
-        operators::check_plan(plan, build.is_some())?;
+        operators::check_plan_tables(probe_table, build.map(|(_, t)| t), plan)?;
+        if plan.is_scan() {
+            return self.execute_scan_plan(probe, probe_table, plan);
+        }
         let n = self.device_count;
 
         // ---- Device-lock session 1: the up-front reservations. ----
@@ -723,6 +620,84 @@ impl MultiGpuOlapEngine {
         })
     }
 
+    /// The filtered-scan kernel schedule of a scan-shaped plan
+    /// ([`OlapPlan::is_scan`]): each device runs the selection and
+    /// aggregation kernels over its own shard concurrently, all charged in
+    /// one device-lock session, and the site charges the slowest device. No
+    /// partial-group arena and no merge launch: each device's single global
+    /// accumulator stays in registers.
+    fn execute_scan_plan(
+        &self,
+        handle: RegisteredTable,
+        table: &SnapshotTable,
+        plan: &OlapPlan,
+    ) -> Result<PlanOutcome> {
+        let cols = plan.probe_columns_accessed();
+        let mut kernels = Vec::new();
+        let mut interconnect_bytes = 0u64;
+        let mut critical = DeviceRun::default();
+
+        // Scan charges depend only on shard row counts: one lock session
+        // covers every device, then the host-side answer computes unlocked.
+        let mut state = self.devs.lock();
+        let per_device = state.device_shard_rows(handle)?.clone();
+        for (d, &rows_d) in per_device.iter().enumerate() {
+            if rows_d == 0 {
+                continue;
+            }
+            let mut run = DeviceRun::default();
+            // Explicit-copy placement pays each device's shard transfer up
+            // front (the devices copy over their own links, in parallel).
+            if handle.explicit_copy() {
+                let bytes = scan_copy_bytes(table, &cols, rows_d)?;
+                let device = &mut state.devices[d];
+                Self::charge_transfer(
+                    device,
+                    bytes,
+                    TransferDirection::HostToDevice,
+                    &mut run,
+                    &mut interconnect_bytes,
+                );
+            }
+            for (i, pred) in plan.predicates.iter().enumerate() {
+                let (buffer, useful, pattern) = state.read_plan(handle, table, d, pred.column)?;
+                let desc = KernelDesc::new(format!("select_{i}.d{d}"), rows_d)
+                    .flops_per_element(2.0)
+                    .read(buffer, useful, pattern)
+                    .write(rows_d.div_ceil(8));
+                Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+            }
+            let mut desc = scan_aggregate_kernel(format!("aggregate.d{d}"), rows_d, plan);
+            for &attr in &plan.aggregates[0].columns() {
+                let (buffer, useful, pattern) = state.read_plan(handle, table, d, attr)?;
+                desc = desc.read(buffer, useful, pattern);
+            }
+            Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+            if handle.explicit_copy() {
+                let device = &mut state.devices[d];
+                Self::charge_transfer(device, 8, TransferDirection::DeviceToHost, &mut run, &mut interconnect_bytes);
+            }
+            if run.time > critical.time {
+                critical = run;
+            }
+        }
+        drop(state);
+
+        // Host-side data path shared with every other site: bit-equal
+        // answers regardless of device mix or completion order.
+        let (groups, totals) = host_answer(&self.cache, table, None, plan)?;
+        Ok(PlanOutcome {
+            groups,
+            qualifying_rows: totals.joined,
+            grouped: false,
+            time: critical.time,
+            kernels,
+            interconnect_bytes,
+            breakdown: critical.breakdown,
+            site: OlapTarget::MultiGpu,
+        })
+    }
+
     /// Fraction of registered bytes resident next to the devices' compute —
     /// weighted across the whole mix for Unified Memory placements.
     pub fn resident_fraction(&self) -> f64 {
@@ -770,12 +745,6 @@ impl ExecutionSite for MultiGpuOlapEngine {
 
     fn unregister_table(&self, handle: RegisteredTable) {
         MultiGpuOlapEngine::unregister_table(self, handle);
-    }
-
-    fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome> {
-        let out = MultiGpuOlapEngine::execute(self, handle, table, query)?;
-        emit_execution_spans(&self.tracer, out.site, &out.kernels, &out.breakdown, out.time, out.interconnect_bytes);
-        Ok(out)
     }
 
     fn execute_plan(
@@ -836,8 +805,8 @@ impl ExecutionSite for MultiGpuOlapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::GpuOlapEngine;
-    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, Schema, Value};
+    use crate::engine::{GpuOlapEngine, OlapOutcome};
+    use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_gpu_sim::GpuSpec;
     use h2tap_storage::{Database, Layout};
 
@@ -860,6 +829,15 @@ mod tests {
         }
         let snap = db.snapshot();
         snap.table(t).unwrap().clone()
+    }
+
+    fn scan<S: ExecutionSite>(
+        site: &S,
+        h: RegisteredTable,
+        t: &SnapshotTable,
+        q: &ScanAggQuery,
+    ) -> Result<OlapOutcome> {
+        site.execute_plan(h, t, None, &OlapPlan::scan(q)).map(OlapOutcome::from)
     }
 
     fn bucket_query() -> ScanAggQuery {
@@ -892,11 +870,11 @@ mod tests {
         let query = bucket_query();
         let single = GpuOlapEngine::new(GpuDevice::new(GpuSpec::gtx_980()), DataPlacement::Host(AccessMode::Uva));
         let h = single.register_table(&table, "t").unwrap();
-        let reference = single.execute(h, &table, &query).unwrap();
+        let reference = scan(&single, h, &table, &query).unwrap();
         for n in 1..=5 {
             let multi = MultiGpuOlapEngine::new(mix(n), DataPlacement::Host(AccessMode::Uva)).unwrap();
             let mh = multi.register_table(&table, "t").unwrap();
-            let out = multi.execute(mh, &table, &query).unwrap();
+            let out = scan(&multi, mh, &table, &query).unwrap();
             assert_eq!(out.value.to_bits(), reference.value.to_bits(), "{n} devices");
             assert_eq!(out.qualifying_rows, reference.qualifying_rows);
             assert_eq!(out.site, OlapTarget::MultiGpu);
@@ -911,7 +889,7 @@ mod tests {
             let devices = (0..n).map(|_| GpuDevice::new(GpuSpec::gtx_980())).collect();
             let eng = MultiGpuOlapEngine::new(devices, DataPlacement::DeviceResident).unwrap();
             let h = eng.register_table(&table, "t").unwrap();
-            eng.execute(h, &table, &query).unwrap().time.as_secs_f64()
+            scan(&eng, h, &table, &query).unwrap().time.as_secs_f64()
         };
         let one = time(1);
         let four = time(4);
@@ -925,7 +903,7 @@ mod tests {
         let time = |specs: Vec<GpuSpec>| {
             let eng = MultiGpuOlapEngine::from_specs(specs, DataPlacement::DeviceResident).unwrap();
             let h = eng.register_table(&table, "t").unwrap();
-            eng.execute(h, &table, &query).unwrap().time.as_secs_f64()
+            scan(&eng, h, &table, &query).unwrap().time.as_secs_f64()
         };
         let fast_pair = time(vec![GpuSpec::gtx_980_ti(), GpuSpec::gtx_980_ti()]);
         let mixed_pair = time(vec![GpuSpec::gtx_980_ti(), GpuSpec::gtx_580()]);
@@ -1075,7 +1053,7 @@ mod tests {
         let table = snapshot_table(Layout::Dsm, 0);
         let eng = MultiGpuOlapEngine::new(mix(2), DataPlacement::Host(AccessMode::Uva)).unwrap();
         let h = eng.register_table(&table, "t").unwrap();
-        assert!(eng.execute(h, &table, &bucket_query()).is_err());
+        assert!(scan(&eng, h, &table, &bucket_query()).is_err());
     }
 
     #[test]

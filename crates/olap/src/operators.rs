@@ -14,26 +14,25 @@
 //!
 //! # Vectorized batch execution and explicit SIMD kernels
 //!
-//! Within a chunk, the hot functions ([`scan_chunk`], [`process_chunk`])
-//! execute **vectorized**: rows are processed in fixed
-//! [`VECTOR_BATCH_ROWS`]-row batches, predicate evaluation fills a
-//! *selection vector*, hash probes compact it, and aggregate accumulation
-//! runs one specialised loop per [`AggExpr`] variant instead of a per-row
-//! `match`. The inner loops are **explicit SIMD kernels** ([`crate::simd`]):
-//! hand-unrolled 4/8-lane structs (the toolchain is stable Rust, so no
-//! `std::simd`) monomorphised per column type through [`with_decoder!`] —
-//! predicate masks, probe-key decodes and per-row aggregate staging are
-//! lane-parallel, while every f64 *accumulation* stays sequential in
-//! ascending row order. None of this changes a single bit of the results:
-//! a selection vector only *skips* rows a predicate rejected (exactly the
-//! rows the row-at-a-time loop `continue`d past), staged per-row values are
-//! computed by the very expressions the reference evaluates, and each
-//! accumulator receives the same additions in the same order. Two oracles
-//! are retained and property-tested bit-identical: the row-at-a-time
-//! references ([`scan_chunk_reference`], [`process_chunk_reference`]) and
-//! the pre-SIMD scalar batch path ([`scan_chunk_scalar`],
-//! [`process_chunk_scalar`]), which the `hostperf` benchmark also times as
-//! the prior-PR baseline.
+//! Within a chunk, [`process_chunk`] executes **vectorized**: rows are
+//! processed in fixed [`VECTOR_BATCH_ROWS`]-row batches, predicate evaluation
+//! fills a *selection vector*, hash probes compact it, and aggregate
+//! accumulation runs one specialised loop per [`AggExpr`] variant instead of
+//! a per-row `match`; a predicate-free, join-free, ungrouped plan skips the
+//! selection vector and streams its columns densely. The inner loops are
+//! **explicit SIMD kernels** ([`crate::simd`]): hand-unrolled 4/8-lane
+//! structs (the toolchain is stable Rust, so no `std::simd`) monomorphised
+//! per column type through [`with_decoder!`] — predicate masks, probe-key
+//! decodes and per-row aggregate staging are lane-parallel, while every f64
+//! *accumulation* stays sequential in ascending row order. None of this
+//! changes a single bit of the results: a selection vector only *skips* rows
+//! a predicate rejected (exactly the rows the row-at-a-time loop `continue`d
+//! past), staged per-row values are computed by the very expressions the
+//! reference evaluates, and each accumulator receives the same additions in
+//! the same order. Two oracles are retained and property-tested
+//! bit-identical: the row-at-a-time reference ([`process_chunk_reference`])
+//! and the pre-SIMD scalar batch path ([`process_chunk_scalar`]), which the
+//! `hostperf` benchmark also times as the prior-PR baseline.
 //!
 //! # Zonemap statistics and parallel materialisation
 //!
@@ -42,9 +41,9 @@
 //! the zonemap reads the chunk while it is still cache-resident from the
 //! copy — and runs those per-(column, chunk) tasks on the shared scoped
 //! pool ([`crate::pool`]), preserving chunk order in the output.
-//! [`scan_chunk_can_qualify`] then answers in O(#predicates) per chunk
+//! [`chunk_can_qualify`] then answers in O(#predicates) per chunk
 //! instead of re-scanning the chunk's values per predicate per query (the
-//! old behaviour is retained as [`scan_chunk_can_qualify_reference`], and
+//! old behaviour is retained as [`chunk_can_qualify_reference`], and
 //! the prior single-threaded two-pass build as
 //! [`MaterializedColumns::new_serial`]). Because the stats live on the
 //! materialised columns, the snapshot-keyed plan-data cache
@@ -59,8 +58,7 @@
 use crate::pool;
 use crate::simd::{min_max_lanes, stage_key_bits, F64x4, F64x8, SimdF64};
 use h2tap_common::{
-    AggExpr, AttrType, GroupRow, H2Error, JoinSpec, OlapPlan, PlanColumn, Predicate, Result, ScanAggQuery,
-    PLAN_CHUNK_ROWS,
+    AggExpr, AttrType, GroupRow, H2Error, JoinSpec, OlapPlan, PlanColumn, Predicate, Result, PLAN_CHUNK_ROWS,
 };
 use h2tap_storage::{decode_cell_f64, SnapshotTable};
 use std::collections::{BTreeMap, HashMap};
@@ -238,7 +236,7 @@ impl MaterializedColumns {
     /// used where the statistics would be pure waste (the build side of a
     /// hash join is consumed exactly once, at build time) and as the
     /// `hostperf` reference baseline, which pays exactly what the
-    /// row-at-a-time path used to pay. [`scan_chunk_can_qualify`]
+    /// row-at-a-time path used to pay. [`chunk_can_qualify`]
     /// transparently falls back to the O(chunk) recomputation on such an
     /// instance.
     pub fn new_without_zonemaps(table: &SnapshotTable, cols: Vec<usize>) -> Result<Self> {
@@ -860,6 +858,25 @@ fn process_chunk_with(
     let mut key_bits: Vec<u64> = Vec::new();
     let mut scratch: Vec<f64> = Vec::new();
 
+    // Every row of a predicate-free, join-free, ungrouped plan reaches the
+    // global group: stream the columns densely instead of gathering through
+    // an identity selection vector — same additions, same order.
+    if plan.predicates.is_empty() && probe_key_pos.is_none() && matches!(mode, GroupMode::Global) {
+        let n = rows.len() as u64;
+        (partial.selected, partial.joined, global.rows) = (n, n, n);
+        for (slot, (agg, pos)) in plan.aggregates.iter().zip(&agg_pos).enumerate() {
+            let acc = &mut global.values[slot];
+            match kernels {
+                Kernels::Simd => accumulate_dense_simd(probe, agg, pos, rows.clone(), &mut scratch, acc),
+                Kernels::Scalar => accumulate_dense(probe, agg, pos, rows.clone(), acc),
+            }
+        }
+        if n > 0 {
+            partial.groups.insert(0, global);
+        }
+        return partial;
+    }
+
     let mut lo = rows.start;
     while lo < rows.end {
         let hi = (lo + VECTOR_BATCH_ROWS).min(rows.end);
@@ -1122,26 +1139,17 @@ pub fn merge_partials(plan: &OlapPlan, partials: Vec<ChunkPartial>) -> (Vec<Grou
     (groups, totals)
 }
 
-/// The result of evaluating one scan chunk of a [`ScanAggQuery`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ScanChunkPartial {
-    /// Partial aggregate over the chunk's qualifying rows.
-    pub value: f64,
-    /// Rows in the chunk that satisfied every predicate.
-    pub qualifying: u64,
-}
-
 /// Whether any row of chunk `chunk` *could* satisfy the predicates, judged
 /// from the zonemap statistics [`MaterializedColumns::new`] built at
 /// materialisation time — O(#predicates), no data scan. `true` is always
 /// safe; `false` guarantees the chunk holds no qualifying row, so skipping
-/// it cannot change the aggregate (the chunk's partial would be exactly
-/// zero).
-pub fn scan_chunk_can_qualify(mat: &MaterializedColumns, predicates: &[Predicate], chunk: usize) -> bool {
+/// it cannot change the answer (the chunk's [`ChunkPartial`] would be
+/// empty, and [`merge_partials`] ignores empty partials).
+pub fn chunk_can_qualify(mat: &MaterializedColumns, predicates: &[Predicate], chunk: usize) -> bool {
     if mat.zonemaps.len() != mat.cols.len() {
         // Materialised without statistics (the retained pre-PR baseline):
         // fall back to recomputing from the data.
-        return scan_chunk_can_qualify_reference(mat, predicates, mat.chunk_range(chunk));
+        return chunk_can_qualify_reference(mat, predicates, mat.chunk_range(chunk));
     }
     for pred in predicates {
         let pos = mat.pos(pred.column);
@@ -1155,13 +1163,9 @@ pub fn scan_chunk_can_qualify(mat: &MaterializedColumns, predicates: &[Predicate
 
 /// The retained pre-zonemap-statistics implementation: recomputes each
 /// predicate column's min/max with a full O(chunk) scan on every call. Kept
-/// as the oracle for [`scan_chunk_can_qualify`] and as the
+/// as the oracle for [`chunk_can_qualify`] and as the
 /// "pre-optimisation" code path of the `hostperf` benchmark.
-pub fn scan_chunk_can_qualify_reference(
-    mat: &MaterializedColumns,
-    predicates: &[Predicate],
-    rows: Range<usize>,
-) -> bool {
+pub fn chunk_can_qualify_reference(mat: &MaterializedColumns, predicates: &[Predicate], rows: Range<usize>) -> bool {
     for pred in predicates {
         let pos = mat.pos(pred.column);
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -1175,104 +1179,6 @@ pub fn scan_chunk_can_qualify_reference(
         }
     }
     true
-}
-
-/// Evaluates a [`ScanAggQuery`] over one chunk of the materialised columns —
-/// the scan-side counterpart of [`process_chunk`], vectorized the same way:
-/// per-batch lane-parallel predicate selection into a selection vector,
-/// then SIMD staging + sequential accumulation per aggregate variant. Rows
-/// are visited in ascending storage order, so a chunk's partial is
-/// deterministic (and bit-identical to [`scan_chunk_reference`] and
-/// [`scan_chunk_scalar`]) regardless of which thread or simulated thread
-/// block evaluates it; [`merge_scan_partials`] then pins the merge order,
-/// which together makes `ScanAggQuery` f64 answers **byte-identical across
-/// execution sites**.
-pub fn scan_chunk(mat: &MaterializedColumns, query: &ScanAggQuery, rows: Range<usize>) -> ScanChunkPartial {
-    scan_chunk_with(mat, query, rows, Kernels::Simd)
-}
-
-/// The retained pre-SIMD scalar batch path of [`scan_chunk`] — the prior-PR
-/// vectorized implementation, kept as a second oracle and as the baseline
-/// the `hostperf` benchmark prices the SIMD kernels against.
-pub fn scan_chunk_scalar(mat: &MaterializedColumns, query: &ScanAggQuery, rows: Range<usize>) -> ScanChunkPartial {
-    scan_chunk_with(mat, query, rows, Kernels::Scalar)
-}
-
-fn scan_chunk_with(
-    mat: &MaterializedColumns,
-    query: &ScanAggQuery,
-    rows: Range<usize>,
-    kernels: Kernels,
-) -> ScanChunkPartial {
-    let pred_pos: Vec<usize> = query.predicates.iter().map(|p| mat.pos(p.column)).collect();
-    let agg_pos: Vec<usize> = query.aggregate.columns().iter().map(|&c| mat.pos(c)).collect();
-    let mut partial = ScanChunkPartial::default();
-    let mut scratch: Vec<f64> = Vec::new();
-    if query.predicates.is_empty() {
-        partial.qualifying = rows.len() as u64;
-        match kernels {
-            Kernels::Simd => {
-                accumulate_dense_simd(mat, &query.aggregate, &agg_pos, rows, &mut scratch, &mut partial.value)
-            }
-            Kernels::Scalar => accumulate_dense(mat, &query.aggregate, &agg_pos, rows, &mut partial.value),
-        }
-        return partial;
-    }
-    let mut sel: Vec<u32> = Vec::with_capacity(VECTOR_BATCH_ROWS);
-    let mut lo = rows.start;
-    while lo < rows.end {
-        let hi = (lo + VECTOR_BATCH_ROWS).min(rows.end);
-        match kernels {
-            Kernels::Simd => {
-                select_batch_simd(mat, &query.predicates, &pred_pos, lo..hi, &mut sel);
-                partial.qualifying += sel.len() as u64;
-                accumulate_selected_simd(mat, &query.aggregate, &agg_pos, &sel, &mut scratch, &mut partial.value);
-            }
-            Kernels::Scalar => {
-                select_batch(mat, &query.predicates, &pred_pos, lo..hi, &mut sel);
-                partial.qualifying += sel.len() as u64;
-                accumulate_selected(mat, &query.aggregate, &agg_pos, &sel, &mut partial.value);
-            }
-        }
-        lo = hi;
-    }
-    partial
-}
-
-/// The retained row-at-a-time implementation of [`scan_chunk`] — the
-/// reference oracle for the vectorized path and the "pre-vectorization"
-/// code path of the `hostperf` benchmark.
-pub fn scan_chunk_reference(mat: &MaterializedColumns, query: &ScanAggQuery, rows: Range<usize>) -> ScanChunkPartial {
-    let pred_pos: Vec<usize> = query.predicates.iter().map(|p| mat.pos(p.column)).collect();
-    let agg_pos: Vec<usize> = query.aggregate.columns().iter().map(|&c| mat.pos(c)).collect();
-    let mut partial = ScanChunkPartial::default();
-    for row in rows {
-        if query.predicates.iter().zip(&pred_pos).any(|(p, &pos)| !p.matches(mat.value(pos, row))) {
-            continue;
-        }
-        partial.qualifying += 1;
-        partial.value += match &query.aggregate {
-            AggExpr::SumProduct(..) => mat.value(agg_pos[0], row) * mat.value(agg_pos[1], row),
-            AggExpr::SumColumns(_) => agg_pos.iter().map(|&p| mat.value(p, row)).sum(),
-            AggExpr::Count => 1.0,
-        };
-    }
-    partial
-}
-
-/// Merges scan-chunk partials **in the order given** (callers pass ascending
-/// chunk order) into the query's `(value, qualifying_rows)` answer. Chunks a
-/// zonemap proved empty may simply be omitted: their partial is exactly
-/// `0.0`, and `x + 0.0` is the f64 identity, so skipping preserves
-/// bit-equality with a site that evaluated every chunk.
-pub fn merge_scan_partials(partials: impl IntoIterator<Item = ScanChunkPartial>) -> (f64, u64) {
-    let mut value = 0.0f64;
-    let mut qualifying = 0u64;
-    for p in partials {
-        value += p.value;
-        qualifying += p.qualifying;
-    }
-    (value, qualifying)
 }
 
 /// Everything both sites need before they can evaluate a plan's chunks: the
@@ -1350,7 +1256,7 @@ pub fn check_plan(plan: &OlapPlan, has_build: bool) -> Result<Option<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2tap_common::{PartitionId, Predicate, Schema, Value};
+    use h2tap_common::{PartitionId, Predicate, ScanAggQuery, Schema, Value};
     use h2tap_storage::{Database, Layout};
 
     /// probe: key = i, fk = i % 100, val = i as f64; build: key = 0..50,
@@ -1494,6 +1400,27 @@ mod tests {
                 group_by: Some(PlanColumn::Probe(1)),
                 aggregates: vec![AggExpr::SumProduct(1, 2), AggExpr::Count, AggExpr::SumColumns(vec![0, 2])],
             },
+            // Predicate-free and ungrouped: the dense lane loop.
+            OlapPlan {
+                predicates: vec![],
+                join: None,
+                group_by: None,
+                aggregates: vec![AggExpr::SumProduct(1, 2), AggExpr::Count, AggExpr::SumColumns(vec![0, 2])],
+            },
+            // Scan-shaped plans (`OlapPlan::scan`), one per aggregate kind.
+            OlapPlan::scan(&ScanAggQuery {
+                predicates: vec![Predicate::between(1, 10.0, 59.0), Predicate::between(0, 1_000.0, 180_000.0)],
+                aggregate: AggExpr::SumColumns(vec![0, 2]),
+            }),
+            OlapPlan::scan(&ScanAggQuery { predicates: vec![], aggregate: AggExpr::SumColumns(vec![2]) }),
+            OlapPlan::scan(&ScanAggQuery {
+                predicates: vec![Predicate::between(2, 0.0, 5_000.5)],
+                aggregate: AggExpr::Count,
+            }),
+            OlapPlan::scan(&ScanAggQuery {
+                predicates: vec![Predicate::between(0, 1e9, 2e9)],
+                aggregate: AggExpr::SumProduct(0, 2),
+            }),
         ];
         for plan in plans {
             let hash = match &plan.join {
@@ -1568,15 +1495,17 @@ mod tests {
     #[test]
     fn scan_chunks_match_a_scalar_reference_and_merge_bit_equal() {
         let (probe, _) = tables(200_000);
-        let query =
-            ScanAggQuery { predicates: vec![Predicate::between(1, 10.0, 59.0)], aggregate: AggExpr::SumProduct(1, 2) };
-        let mat = MaterializedColumns::new(&probe, query.columns_accessed()).unwrap();
+        let plan = OlapPlan::scan(&ScanAggQuery {
+            predicates: vec![Predicate::between(1, 10.0, 59.0)],
+            aggregate: AggExpr::SumProduct(1, 2),
+        });
+        let mat = MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
         assert!(mat.chunk_count() > 1, "test needs several chunks");
-        let partials: Vec<ScanChunkPartial> =
-            (0..mat.chunk_count()).map(|i| scan_chunk(&mat, &query, mat.chunk_range(i))).collect();
-        let (value, qualifying) = merge_scan_partials(partials.clone());
-        let (again, _) = merge_scan_partials(partials);
-        assert_eq!(value, again, "same partials in the same order are bit-equal");
+        let partials: Vec<ChunkPartial> =
+            (0..mat.chunk_count()).map(|i| process_chunk(&mat, &plan, None, mat.chunk_range(i))).collect();
+        let (groups, totals) = merge_partials(&plan, partials.clone());
+        let (again, _) = merge_partials(&plan, partials);
+        assert_eq!(groups, again, "same partials in the same order are bit-equal");
         // Scalar reference: fk = i % 100 in 10..=59, aggregate fk * i.
         let mut expect = 0.0f64;
         let mut rows = 0u64;
@@ -1587,41 +1516,9 @@ mod tests {
                 rows += 1;
             }
         }
-        assert_eq!(qualifying, rows);
+        assert_eq!(totals.joined, rows);
+        let value = groups[0].values[0];
         assert!((value - expect).abs() < expect.abs() * 1e-12, "{value} vs {expect}");
-    }
-
-    #[test]
-    fn vectorized_scan_chunks_are_bit_identical_to_the_reference() {
-        let (probe, _) = tables(200_000);
-        let queries = [
-            ScanAggQuery { predicates: vec![Predicate::between(1, 10.0, 59.0)], aggregate: AggExpr::SumProduct(1, 2) },
-            ScanAggQuery {
-                predicates: vec![Predicate::between(1, 10.0, 59.0), Predicate::between(0, 1_000.0, 180_000.0)],
-                aggregate: AggExpr::SumColumns(vec![0, 2]),
-            },
-            ScanAggQuery { predicates: vec![], aggregate: AggExpr::SumColumns(vec![2]) },
-            ScanAggQuery { predicates: vec![Predicate::between(2, 0.0, 5_000.5)], aggregate: AggExpr::Count },
-            ScanAggQuery { predicates: vec![Predicate::between(0, 1e9, 2e9)], aggregate: AggExpr::SumProduct(0, 2) },
-        ];
-        for query in queries {
-            let mat = MaterializedColumns::new(&probe, query.columns_accessed()).unwrap();
-            for i in 0..mat.chunk_count() {
-                let simd = scan_chunk(&mat, &query, mat.chunk_range(i));
-                let scalar = scan_chunk_scalar(&mat, &query, mat.chunk_range(i));
-                let slow = scan_chunk_reference(&mat, &query, mat.chunk_range(i));
-                for fast in [simd, scalar] {
-                    assert_eq!(fast.qualifying, slow.qualifying, "chunk {i}");
-                    assert_eq!(
-                        fast.value.to_bits(),
-                        slow.value.to_bits(),
-                        "chunk {i}: {} vs {}",
-                        fast.value,
-                        slow.value
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1649,28 +1546,31 @@ mod tests {
     fn zonemap_check_is_safe_and_skipping_preserves_the_answer() {
         // col0 = i is inserted sorted, so chunk min/max bound it tightly.
         let (probe, _) = tables(200_000);
-        let query = ScanAggQuery { predicates: vec![Predicate::between(0, 0.0, 999.0)], aggregate: AggExpr::Count };
-        let mat = MaterializedColumns::new(&probe, query.columns_accessed()).unwrap();
+        let plan = OlapPlan::scan(&ScanAggQuery {
+            predicates: vec![Predicate::between(0, 0.0, 999.0)],
+            aggregate: AggExpr::Count,
+        });
+        let mat = MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
         let mut skipped = 0usize;
         let mut kept = Vec::new();
         for i in 0..mat.chunk_count() {
             let range = mat.chunk_range(i);
-            let can = scan_chunk_can_qualify(&mat, &query.predicates, i);
+            let can = chunk_can_qualify(&mat, &plan.predicates, i);
             // The O(#preds) stats answer must agree with the O(chunk)
             // recomputation it replaced.
-            assert_eq!(can, scan_chunk_can_qualify_reference(&mat, &query.predicates, range.clone()));
+            assert_eq!(can, chunk_can_qualify_reference(&mat, &plan.predicates, range.clone()));
             if can {
-                kept.push(scan_chunk(&mat, &query, range));
+                kept.push(process_chunk(&mat, &plan, None, range));
             } else {
-                // Safety: a skipped chunk must truly have an all-zero partial.
-                assert_eq!(scan_chunk(&mat, &query, range), ScanChunkPartial::default());
+                // Safety: a skipped chunk must truly have an empty partial.
+                assert_eq!(process_chunk(&mat, &plan, None, range), ChunkPartial::default());
                 skipped += 1;
             }
         }
         assert!(skipped > 0, "sorted data must allow skipping");
-        let (value, qualifying) = merge_scan_partials(kept);
-        assert_eq!(value, 1_000.0);
-        assert_eq!(qualifying, 1_000);
+        let (groups, totals) = merge_partials(&plan, kept);
+        assert_eq!(groups[0].values[0], 1_000.0);
+        assert_eq!(totals.joined, 1_000);
     }
 
     #[test]

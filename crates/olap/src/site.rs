@@ -6,10 +6,12 @@
 //! analytical query should be executed on CPU or GPU cores in the
 //! data-parallel archipelago." For that decision to be *real* the engine
 //! needs both targets behind one dispatchable interface: the GPU
-//! kernel-at-a-time executor ([`crate::GpuOlapEngine`]) and the CPU
-//! vectorised scan engine ([`crate::CpuOlapEngine`]) both implement
-//! [`ExecutionSite`], and `Caldera::run_olap` picks between them per query
-//! with [`h2tap_scheduler::place_olap_query`].
+//! kernel-at-a-time executors ([`crate::GpuOlapEngine`],
+//! [`crate::MultiGpuOlapEngine`]) and the CPU vectorised engine
+//! ([`crate::CpuOlapEngine`]) all implement [`ExecutionSite`], and
+//! `Caldera::run_olap*` picks between them per query with
+//! [`h2tap_scheduler::place_olap_query_sites`]. Every query reaches a site
+//! as an [`OlapPlan`] through [`ExecutionSite::execute_plan`].
 //!
 //! Besides execution, a site exposes the *cost and capability hints* the
 //! placement heuristic consumes: which [`OlapTarget`] it serves, what
@@ -18,8 +20,8 @@
 //! migration ([`ExecutionSite::set_cores`]).
 
 use crate::cache::PlanDataCache;
-use crate::engine::{OlapOutcome, PlanOutcome, RegisteredTable};
-use h2tap_common::{ExecBreakdown, OlapPlan, Result, ScanAggQuery, SimDuration};
+use crate::engine::{PlanOutcome, RegisteredTable};
+use h2tap_common::{ExecBreakdown, OlapPlan, Result, SimDuration};
 use h2tap_gpu_sim::KernelMetrics;
 use h2tap_obs::{SpanEvent, SpanKind, Tracer};
 use h2tap_scheduler::{OlapTarget, SiteCapability};
@@ -30,12 +32,12 @@ use h2tap_storage::SnapshotTable;
 ///
 /// The lifecycle mirrors snapshot-based OLAP: tables of the current snapshot
 /// are registered once ([`ExecutionSite::register_table`]), queried any
-/// number of times ([`ExecutionSite::execute`]), and dropped together when
+/// number of times ([`ExecutionSite::execute_plan`]), and dropped together when
 /// the snapshot is refreshed ([`ExecutionSite::reset_tables`]).
 ///
 /// Every method takes `&self`: sites are **concurrent** — the engine serves
 /// analytical queries from many client threads at once, so each impl owns
-/// its mutable state behind interior mutability and must keep `execute` /
+/// its mutable state behind interior mutability and must keep
 /// `execute_plan` safe (and, for throughput, actually parallel — don't hold
 /// a site-wide lock across host compute) under simultaneous calls.
 pub trait ExecutionSite: Send + Sync {
@@ -58,16 +60,14 @@ pub trait ExecutionSite: Send + Sync {
     /// strand device memory until the next snapshot refresh.
     fn unregister_table(&self, handle: RegisteredTable);
 
-    /// Executes `query` against a registered snapshot table, returning the
-    /// exact answer and the site's simulated cost.
-    fn execute(&self, handle: RegisteredTable, table: &SnapshotTable, query: &ScanAggQuery) -> Result<OlapOutcome>;
-
     /// Executes a relational plan (filter → optional hash join → optional
     /// group-by) against a registered probe table and, for join plans, a
-    /// registered build table. Sites must return **byte-identical**
-    /// [`h2tap_common::GroupRow`]s for the same plan over the same snapshot
-    /// (see [`h2tap_common::plan`] for the evaluation-order contract); only
-    /// the simulated cost differs.
+    /// registered build table. This is the site's only execute method:
+    /// scan-and-aggregate queries arrive as scan-shaped plans
+    /// ([`OlapPlan::scan`], recognised by [`OlapPlan::is_scan`]). Sites must
+    /// return **byte-identical** [`h2tap_common::GroupRow`]s for the same
+    /// plan over the same snapshot (see [`h2tap_common::plan`] for the
+    /// evaluation-order contract); only the simulated cost differs.
     fn execute_plan(
         &self,
         probe: RegisteredTable,
@@ -191,13 +191,13 @@ mod tests {
     #[test]
     fn all_sites_agree_through_the_trait() {
         let table = snapshot_table(1_000);
-        let query = ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1]));
+        let plan = OlapPlan::scan(&h2tap_common::ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![1])));
         let mut answers = Vec::new();
         for site in sites() {
             let handle = site.register_table(&table, "t").unwrap();
-            let out = site.execute(handle, &table, &query).unwrap();
+            let out = site.execute_plan(handle, &table, None, &plan).unwrap();
             assert_eq!(out.site, site.target());
-            answers.push(out.value);
+            answers.push(out.single_value().unwrap());
             site.reset_tables();
         }
         assert!(answers.windows(2).all(|w| w[0].to_bits() == w[1].to_bits()), "{answers:?}");

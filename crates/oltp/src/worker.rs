@@ -122,6 +122,8 @@ pub enum TxnOutcome {
 }
 
 /// Executes `proc` on `state`, retrying aborts up to `max_retries` times.
+/// Pending lock traffic is served between attempts; a mailbox failure
+/// there aborts the transaction.
 pub fn execute_transaction(
     state: &mut WorkerState,
     proc: &crate::runtime::TxnProc,
@@ -143,6 +145,14 @@ pub fn execute_transaction(
                 ctx.abort();
                 let retryable = matches!(err, H2Error::TxnAborted(_) | H2Error::LockTimeout(_));
                 if retryable && attempt < max_retries {
+                    // Serve the mailbox before retrying: the conflicting
+                    // lock may be held by another worker's transaction whose
+                    // release is already queued here, and retrying without
+                    // reading it can only conflict again.
+                    if let Err(drain_err) = state.drain_messages() {
+                        state.counters.add_aborted();
+                        return TxnOutcome::Aborted(drain_err);
+                    }
                     attempt += 1;
                     state.counters.add_retry();
                     continue;
@@ -241,4 +251,43 @@ pub fn local_lock(state: &mut WorkerState, rid: h2tap_common::RecordId, mode: Lo
 /// that worker `i` owns partition `i` and listens on core `i`.
 pub fn core_of(partition: PartitionId) -> CoreId {
     CoreId(partition.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::{ModuloPartitioner, TxnProc};
+    use h2tap_common::{AttrType, Schema, Value};
+    use h2tap_mpmsg::build_fabric;
+    use h2tap_storage::Layout;
+
+    #[test]
+    fn a_local_conflict_whose_release_is_queued_commits_on_retry() {
+        // Worker 0 owns key 0. Worker 1's transaction holds the record's lock
+        // and has already queued its release in worker 0's mailbox: the retry
+        // must read that release instead of conflicting again.
+        let db = Database::new(2);
+        let table = db.create_table("t", Schema::homogeneous("c", 1, AttrType::Int64), Layout::Dsm).unwrap();
+        let rid = db.insert(PartitionId(0), table, &[Value::Int64(7)]).unwrap();
+        let mut index = PartitionIndex::new();
+        index.insert(table, 0, rid.row);
+        let (postboxes, mut mailboxes, _) = build_fabric::<OltpMsg>(2, 16);
+        let mut state = WorkerState {
+            id: 0,
+            db,
+            postbox: postboxes[0].clone(),
+            mailbox: mailboxes.remove(0),
+            lock_table: LockTable::new(),
+            index,
+            partitioner: Arc::new(ModuloPartitioner::new(2)),
+            counters: Arc::new(WorkerCounters::default()),
+            remote_timeout: Duration::from_millis(50),
+        };
+        let foreign = TxnToken::new(1, 0);
+        assert!(local_lock(&mut state, rid, LockMode::Exclusive, foreign));
+        postboxes[1].send(core_of(PartitionId(0)), OltpMsg::Release { txn: foreign, rids: vec![rid] }).unwrap();
+
+        let proc: TxnProc = Arc::new(move |ctx: &mut TxnCtx<'_>| ctx.update(table, 0, vec![Value::Int64(8)]));
+        assert_eq!(execute_transaction(&mut state, &proc, &mut 0, 4), TxnOutcome::Committed);
+    }
 }

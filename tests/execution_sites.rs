@@ -4,7 +4,7 @@
 //! heuristic predicts.
 
 use caldera::{Caldera, CalderaConfig, DataPlacement, OlapMultiGpuConfig, OlapTarget, SnapshotPolicy};
-use h2tap_common::{AggExpr, PartitionId, Predicate, ScanAggQuery, Value};
+use h2tap_common::{AggExpr, OlapPlan, PartitionId, Predicate, ScanAggQuery, Value};
 use h2tap_storage::Layout;
 use h2tap_workloads::tpch::{self, q6};
 use std::sync::Arc;
@@ -89,12 +89,16 @@ fn scan_answers_are_byte_identical_across_sites_and_thread_counts() {
     // count cannot perturb a single bit of the answer.
     let snap = caldera.database().snapshot();
     let frozen = snap.table(table).unwrap();
-    let sequential = h2tap_olap::CpuOlapEngine::archipelago_default(1).execute_scan(frozen, &query).unwrap();
-    let parallel = h2tap_olap::CpuOlapEngine::archipelago_default(16).execute_scan(frozen, &query).unwrap();
+    let plan = OlapPlan::scan(&query);
+    let sequential =
+        h2tap_olap::CpuOlapEngine::archipelago_default(1).execute_plan_pipeline(frozen, None, &plan).unwrap();
+    let parallel =
+        h2tap_olap::CpuOlapEngine::archipelago_default(16).execute_plan_pipeline(frozen, None, &plan).unwrap();
     assert_eq!(sequential.threads_used, 1);
     assert!(parallel.threads_used > 1, "a multi-chunk scan on 16 cores must use the pool");
-    assert_eq!(sequential.value.to_bits(), parallel.value.to_bits());
-    assert_eq!(sequential.value.to_bits(), cpu.value.to_bits(), "standalone engine agrees with the site");
+    let value = |r: &h2tap_olap::CpuPlanResult| r.groups[0].values[0].to_bits();
+    assert_eq!(value(&sequential), value(&parallel));
+    assert_eq!(value(&sequential), cpu.value.to_bits(), "standalone engine agrees with the site");
     assert_eq!(sequential.qualifying_rows, parallel.qualifying_rows);
     assert_eq!(sequential.rows_scanned, parallel.rows_scanned);
     assert_eq!(sequential.chunks_skipped, parallel.chunks_skipped);
@@ -104,7 +108,7 @@ fn scan_answers_are_byte_identical_across_sites_and_thread_counts() {
 
 /// Zonemap skipping (the vectorised profile) still cannot change the f64
 /// answer relative to a profile that scans everything: a skipped chunk's
-/// partial is exactly zero.
+/// partial is empty.
 #[test]
 fn zonemap_skipping_preserves_bitwise_equality_on_clustered_predicates() {
     let mut config = CalderaConfig::with_workers(1);
@@ -117,14 +121,13 @@ fn zonemap_skipping_preserves_bitwise_equality_on_clustered_predicates() {
     };
     let snap = caldera.database().snapshot();
     let frozen = snap.table(table).unwrap();
-    let skipping =
-        h2tap_olap::CpuOlapEngine::new(h2tap_olap::CpuScanProfile::vectorized()).execute_scan(frozen, &query).unwrap();
-    let full = h2tap_olap::CpuOlapEngine::new(h2tap_olap::CpuScanProfile::materializing())
-        .execute_scan(frozen, &query)
-        .unwrap();
+    let plan = OlapPlan::scan(&query);
+    let run = |profile| h2tap_olap::CpuOlapEngine::new(profile).execute_plan_pipeline(frozen, None, &plan).unwrap();
+    let skipping = run(h2tap_olap::CpuScanProfile::vectorized());
+    let full = run(h2tap_olap::CpuScanProfile::materializing());
     assert!(skipping.chunks_skipped > 0, "clustered predicate must skip chunks");
     assert_eq!(full.chunks_skipped, 0);
-    assert_eq!(skipping.value.to_bits(), full.value.to_bits());
+    assert_eq!(skipping.groups[0].values[0].to_bits(), full.groups[0].values[0].to_bits());
     assert_eq!(skipping.qualifying_rows, full.qualifying_rows);
     let _ = caldera.database().release_snapshot(&snap);
     caldera.shutdown();

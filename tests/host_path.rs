@@ -84,28 +84,16 @@ fn boundary_row_counts() -> Vec<u64> {
     ]
 }
 
-fn assert_scan_bit_identical(mat: &ops::MaterializedColumns, query: &ScanAggQuery, label: &str) {
+/// The zonemap-stats answer must agree with the O(chunk) recompute, and a
+/// skipped chunk must truly have an empty partial.
+fn assert_zonemap_skips_are_safe(mat: &ops::MaterializedColumns, plan: &OlapPlan, label: &str) {
     for i in 0..mat.chunk_count() {
         let range = mat.chunk_range(i);
-        let fast = ops::scan_chunk(mat, query, range.clone());
-        let scalar = ops::scan_chunk_scalar(mat, query, range.clone());
-        let slow = ops::scan_chunk_reference(mat, query, range.clone());
-        assert_eq!(fast.qualifying, slow.qualifying, "{label} chunk {i}");
-        assert_eq!(fast.value.to_bits(), slow.value.to_bits(), "{label} chunk {i}: {} vs {}", fast.value, slow.value);
-        assert_eq!(fast.qualifying, scalar.qualifying, "{label} chunk {i}: simd vs scalar batch");
-        assert_eq!(
-            fast.value.to_bits(),
-            scalar.value.to_bits(),
-            "{label} chunk {i}: simd {} vs scalar batch {}",
-            fast.value,
-            scalar.value
-        );
-        // The zonemap-stats answer must agree with the O(chunk) recompute,
-        // and a skip must truly be a zero partial.
-        let can = ops::scan_chunk_can_qualify(mat, &query.predicates, i);
-        assert_eq!(can, ops::scan_chunk_can_qualify_reference(mat, &query.predicates, range), "{label} chunk {i}");
+        let can = ops::chunk_can_qualify(mat, &plan.predicates, i);
+        assert_eq!(can, ops::chunk_can_qualify_reference(mat, &plan.predicates, range.clone()), "{label} chunk {i}");
         if !can {
-            assert_eq!(fast, ops::ScanChunkPartial::default(), "{label} chunk {i}: skipped chunk must be zero");
+            let partial = ops::process_chunk(mat, plan, None, range);
+            assert_eq!(partial, ops::ChunkPartial::default(), "{label} chunk {i}: skipped chunk must be empty");
         }
     }
 }
@@ -151,9 +139,9 @@ fn assert_plan_bit_identical(
     assert_eq!(ft.joined, st.joined, "{label}");
 }
 
-/// Vectorized scans are bit-identical to the row-at-a-time reference for
-/// random queries over random tables in every layout, at every
-/// chunk-boundary row count.
+/// Vectorized scan-shaped plans are bit-identical to the row-at-a-time
+/// reference for random queries over random tables in every layout, at
+/// every chunk-boundary row count.
 #[test]
 fn property_vectorized_scans_match_the_reference_bitwise() {
     let mut rng = SplitMixRng::new(0x5CA1);
@@ -173,9 +161,11 @@ fn property_vectorized_scans_match_the_reference_bitwise() {
                 1 => AggExpr::SumColumns(vec![0, 2, 3]),
                 _ => AggExpr::Count,
             };
-            let query = ScanAggQuery { predicates, aggregate };
-            let mat = ops::MaterializedColumns::new(&table, query.columns_accessed()).unwrap();
-            assert_scan_bit_identical(&mat, &query, &format!("{layout:?}/{rows} rows/query {q}"));
+            let plan = OlapPlan::scan(&ScanAggQuery { predicates, aggregate });
+            let mat = ops::MaterializedColumns::new(&table, plan.probe_columns_accessed()).unwrap();
+            let label = format!("{layout:?}/{rows} rows/query {q}");
+            assert_plan_bit_identical(&mat, &plan, None, &label);
+            assert_zonemap_skips_are_safe(&mat, &plan, &label);
         }
     }
 }

@@ -10,7 +10,7 @@
 //! and the boundary tables (empty, one chunk, exact chunk multiple).
 
 use caldera::{Caldera, CalderaConfig, DataPlacement, OlapMultiGpuConfig, OlapTarget, SnapshotPolicy};
-use h2tap_common::{AggExpr, AttrType, PartitionId, Predicate, ScanAggQuery, Schema, Value, PLAN_CHUNK_ROWS};
+use h2tap_common::{AggExpr, AttrType, OlapPlan, PartitionId, Predicate, ScanAggQuery, Schema, Value, PLAN_CHUNK_ROWS};
 use h2tap_gpu_sim::{table1_mix, AccessMode, GpuDevice, GpuSpec};
 use h2tap_olap::{CpuOlapEngine, ExecutionSite, GpuOlapEngine, MultiGpuOlapEngine};
 use h2tap_storage::{Database, Layout, SnapshotTable};
@@ -49,8 +49,8 @@ fn multi_engine(n: usize, placement: DataPlacement) -> MultiGpuOlapEngine {
 /// site identically).
 fn scan_bits(site: &mut dyn ExecutionSite, table: &SnapshotTable, query: &ScanAggQuery) -> Option<(u64, u64)> {
     let handle = site.register_table(table, "t").unwrap();
-    let out = site.execute(handle, table, query).ok()?;
-    Some((out.value.to_bits(), out.qualifying_rows))
+    let out = site.execute_plan(handle, table, None, &OlapPlan::scan(query)).ok()?;
+    Some((out.single_value()?.to_bits(), out.qualifying_rows))
 }
 
 /// The full equivalence matrix over one (layout, rows) cell: CPU at 1 and 8

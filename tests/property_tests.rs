@@ -7,9 +7,12 @@
 //! while still sweeping a wide input space.
 
 use h2tap_common::rng::SplitMixRng;
-use h2tap_common::{chunk_shard, AttrType, Epoch, PartitionId, Schema, TableId, Value};
+use h2tap_common::{
+    chunk_shard, AggExpr, AttrType, Epoch, OlapPlan, PartitionId, ScanAggQuery, Schema, TableId, Value,
+};
 use h2tap_gpu_sim::{coalescing_efficiency, AccessPattern};
-use h2tap_olap::{merge_scan_partials, shard_chunk_indexes, shard_rows, ScanChunkPartial};
+use h2tap_olap::operators::{merge_partials, ChunkPartial, GroupAcc};
+use h2tap_olap::{shard_chunk_indexes, shard_rows};
 use h2tap_oltp::{LockMode, LockTable, TxnToken};
 use h2tap_storage::{decode_record, encode_record, Database, Layout};
 
@@ -226,10 +229,19 @@ fn merge_order_is_invariant_under_device_completion_order() {
     for _ in 0..CASES {
         let chunk_count = 1 + rng.next_below(64) as usize;
         let devices = 1 + rng.next_below(5) as usize;
-        let partials: Vec<ScanChunkPartial> = (0..chunk_count)
-            .map(|_| ScanChunkPartial { value: rand_f64(&mut rng), qualifying: rng.next_below(1 << 16) })
+        let plan = OlapPlan::scan(&ScanAggQuery::aggregate_only(AggExpr::SumColumns(vec![0])));
+        let partials: Vec<ChunkPartial> = (0..chunk_count)
+            .map(|_| {
+                let rows = 1 + rng.next_below(1 << 16);
+                let acc = GroupAcc { values: vec![rand_f64(&mut rng)], rows };
+                ChunkPartial { groups: [(0, acc)].into(), selected: rows, joined: rows }
+            })
             .collect();
-        let (sequential_value, sequential_rows) = merge_scan_partials(partials.iter().copied());
+        let merged_bits = |partials: Vec<ChunkPartial>| {
+            let (groups, totals) = merge_partials(&plan, partials);
+            (groups[0].values[0].to_bits(), totals.joined)
+        };
+        let sequential = merged_bits(partials.clone());
 
         // Simulate devices completing in a random order: each shard finishes
         // as a unit, its chunk partials land in a slot table, and the merge
@@ -241,16 +253,14 @@ fn merge_order_is_invariant_under_device_completion_order() {
             let j = rng.next_below((i + 1) as u64) as usize;
             completion.swap(i, j);
         }
-        let mut slots: Vec<Option<ScanChunkPartial>> = vec![None; chunk_count];
+        let mut slots: Vec<Option<ChunkPartial>> = vec![None; chunk_count];
         for &device in &completion {
             for &chunk in &shards[device] {
-                slots[chunk] = Some(partials[chunk]);
+                slots[chunk] = Some(partials[chunk].clone());
             }
         }
-        let reassembled = slots.into_iter().map(|p| p.expect("partition covers every chunk"));
-        let (value, rows) = merge_scan_partials(reassembled);
-        assert_eq!(value.to_bits(), sequential_value.to_bits(), "completion order {completion:?} changed bits");
-        assert_eq!(rows, sequential_rows);
+        let reassembled = slots.into_iter().map(|p| p.expect("partition covers every chunk")).collect();
+        assert_eq!(merged_bits(reassembled), sequential, "completion order {completion:?} changed bits");
     }
 }
 
