@@ -53,7 +53,7 @@ pub struct OlapOutcome {
     /// Simulated execution time (kernels plus any explicit transfers).
     pub time: SimDuration,
     /// Per-kernel metrics, in launch order (empty for sites that do not
-    /// launch kernels, such as the CPU scan engine).
+    /// launch kernels, such as the CPU site).
     pub kernels: Vec<KernelMetrics>,
     /// Bytes moved over the host-device interconnect.
     pub interconnect_bytes: u64,
@@ -143,17 +143,19 @@ pub(crate) fn accumulate_residency(mem: &MemoryManager, id: BufferId, total: &mu
     };
 }
 
-/// Host-to-device bytes an explicit-copy placement transfers for a
-/// scan-shaped plan over `rows` rows: the accessed columns, or for NSM an
-/// equal share of the record width per accessed column.
-pub(crate) fn scan_copy_bytes(table: &SnapshotTable, cols: &[usize], rows: u64) -> Result<u64> {
+/// Host-to-device bytes an explicit-copy placement transfers for the probe
+/// side of `plan` over `rows` rows: the accessed columns. A scan-shaped plan
+/// over an NSM table copies an equal share of the record width per accessed
+/// column instead (the filtered-scan model behind Figure 1).
+pub(crate) fn probe_copy_bytes(plan: &OlapPlan, table: &SnapshotTable, rows: u64) -> Result<u64> {
+    if !(plan.is_scan() && table.layout == Layout::Nsm) {
+        return Ok(plan.probe_scan_bytes(&table.schema, rows));
+    }
+    let cols = plan.probe_columns_accessed();
     let mut bytes = 0u64;
-    for &attr in cols {
-        let width = table.schema.attr(attr)?.ty.width() as u64;
-        bytes += match table.layout {
-            Layout::Nsm => rows * table.schema.record_width() as u64 / cols.len() as u64,
-            _ => rows * width,
-        };
+    for &attr in &cols {
+        table.schema.attr(attr)?;
+        bytes += rows * table.schema.record_width() as u64 / cols.len() as u64;
     }
     Ok(bytes)
 }
@@ -167,20 +169,10 @@ pub(crate) fn scan_aggregate_kernel(name: String, rows: u64, plan: &OlapPlan) ->
     KernelDesc::new(name, rows).flops_per_element(flops).write(8)
 }
 
-/// The exact answer of `plan`, computed on the host through the data path
-/// every site shares — fixed chunking, ascending chunk order, chunk-ordered
-/// merge — so the groups are byte-identical across sites. The materialised
-/// columns and hash table come from the shared plan-data cache.
-pub(crate) fn host_answer(
-    cache: &PlanDataCache,
-    probe_table: &SnapshotTable,
-    build_table: Option<&SnapshotTable>,
-    plan: &OlapPlan,
-) -> Result<(Vec<GroupRow>, operators::PlanTotals)> {
-    Ok(operators::merge_partials(plan, host_partials(cache, probe_table, build_table, plan)?))
-}
-
-/// The per-chunk partials behind [`host_answer`], in ascending chunk order.
+/// The per-chunk partials of `plan`, computed on the host through the data
+/// path every site shares — fixed chunking, ascending chunk order — so the
+/// merged groups are byte-identical across sites. The materialised columns
+/// and hash table come from the shared plan-data cache.
 pub(crate) fn host_partials(
     cache: &PlanDataCache,
     probe_table: &SnapshotTable,
@@ -416,7 +408,9 @@ impl GpuOlapEngine {
     /// placement (the Caldera prototype keeps "all input, intermediate, and
     /// output data" in UVA), so under host placement every probe crosses the
     /// interconnect while device-resident placement pays only the capped
-    /// device-transaction waste.
+    /// device-transaction waste. A scan-shaped plan ([`OlapPlan::is_scan`])
+    /// is charged the filtered-scan schedule instead: selection kernels and
+    /// one aggregation kernel, no arena and no merge launch.
     ///
     /// The real answer is computed on the host through the shared
     /// [`operators`] data path (fixed chunking, chunk-ordered merge), so the
@@ -450,10 +444,8 @@ impl GpuOlapEngine {
         scratch: &mut Vec<BufferId>,
     ) -> Result<PlanOutcome> {
         operators::check_plan_tables(probe_table, build.map(|(_, t)| t), plan)?;
-        if plan.is_scan() {
-            return self.execute_scan_plan(probe, probe_table, plan);
-        }
         let rows = probe_table.row_count();
+        let scan = plan.is_scan();
 
         let mut kernels = Vec::new();
         let mut total = SimDuration::ZERO;
@@ -481,7 +473,7 @@ impl GpuOlapEngine {
         // Explicit-copy placement pays the host-to-device transfer of every
         // accessed column of both tables before the first kernel.
         if probe.explicit_copy {
-            let bytes = plan.probe_scan_bytes(&probe_table.schema, rows);
+            let bytes = probe_copy_bytes(plan, probe_table, rows)?;
             let copy = state.device.memcpy(bytes, TransferDirection::HostToDevice);
             total += copy;
             breakdown.stream_secs += copy.as_secs_f64();
@@ -529,6 +521,18 @@ impl GpuOlapEngine {
             }
             charge(&mut state.device, &desc)?;
         }
+
+        // A scan-shaped plan's one aggregation kernel depends only on the
+        // row count too: its global accumulator stays in registers, so it
+        // needs no partial-group arena and no merge launch.
+        if scan {
+            let mut desc = scan_aggregate_kernel("aggregate".into(), rows, plan);
+            for &attr in &plan.aggregates[0].columns() {
+                let (buffer, useful, pattern) = state.read_plan(probe, probe_table, attr)?;
+                desc = desc.read(buffer, useful, pattern);
+            }
+            charge(&mut state.device, &desc)?;
+        }
         drop(state);
 
         // Host-side data path, shared with the CPU site so results are
@@ -562,44 +566,49 @@ impl GpuOlapEngine {
             charge(&mut state.device, &probe_desc)?;
         }
 
-        // Partial aggregation: every surviving row updates its group's
-        // accumulators. With a real group-by the accumulator slot is
-        // data-dependent (random); the global aggregate of a plain scan stays
-        // in registers. Partials land in a per-chunk arena that the merge
-        // kernel folds in chunk order.
-        let arena_buf = state.register_bytes(self.placement, "plan.groups", n_chunks * n_groups * group_entry_bytes)?;
-        scratch.push(arena_buf);
-        let mut agg_desc = KernelDesc::new("partial_aggregate", rows)
-            .flops_per_element(2.0 + plan.aggregates.len() as f64)
-            .write(n_chunks * n_groups * group_entry_bytes);
-        let mut agg_cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
-        if let Some(PlanColumn::Probe(c)) = plan.group_by {
-            agg_cols.push(c);
-        }
-        agg_cols.sort_unstable();
-        agg_cols.dedup();
-        for &attr in &agg_cols {
-            let (buffer, useful, pattern) = state.read_plan(probe, probe_table, attr)?;
-            agg_desc = agg_desc.read(buffer, useful, pattern);
-        }
-        if plan.group_by.is_some() {
-            agg_desc = agg_desc.read(
-                arena_buf,
-                totals.joined * group_entry_bytes,
-                AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
-            );
-        }
-        charge(&mut state.device, &agg_desc)?;
+        // Partial aggregation (every plan but a scan-shaped one): every
+        // surviving row updates its group's accumulators. With a real
+        // group-by the accumulator slot is data-dependent (random). Partials
+        // land in a per-chunk arena that the merge kernel folds in chunk
+        // order.
+        if !scan {
+            let arena_buf =
+                state.register_bytes(self.placement, "plan.groups", n_chunks * n_groups * group_entry_bytes)?;
+            scratch.push(arena_buf);
+            let mut agg_desc = KernelDesc::new("partial_aggregate", rows)
+                .flops_per_element(2.0 + plan.aggregates.len() as f64)
+                .write(n_chunks * n_groups * group_entry_bytes);
+            let mut agg_cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
+            if let Some(PlanColumn::Probe(c)) = plan.group_by {
+                agg_cols.push(c);
+            }
+            agg_cols.sort_unstable();
+            agg_cols.dedup();
+            for &attr in &agg_cols {
+                let (buffer, useful, pattern) = state.read_plan(probe, probe_table, attr)?;
+                agg_desc = agg_desc.read(buffer, useful, pattern);
+            }
+            if plan.group_by.is_some() {
+                agg_desc = agg_desc.read(
+                    arena_buf,
+                    totals.joined * group_entry_bytes,
+                    AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
+                );
+            }
+            charge(&mut state.device, &agg_desc)?;
 
-        let merge_desc = KernelDesc::new("merge_groups", (n_chunks * n_groups).max(1))
-            .flops_per_element(1.0 + plan.aggregates.len() as f64)
-            .read(arena_buf, n_chunks * n_groups * group_entry_bytes, AccessPattern::Sequential)
-            .write(n_groups * group_entry_bytes);
-        charge(&mut state.device, &merge_desc)?;
+            let merge_desc = KernelDesc::new("merge_groups", (n_chunks * n_groups).max(1))
+                .flops_per_element(1.0 + plan.aggregates.len() as f64)
+                .read(arena_buf, n_chunks * n_groups * group_entry_bytes, AccessPattern::Sequential)
+                .write(n_groups * group_entry_bytes);
+            charge(&mut state.device, &merge_desc)?;
+        }
 
-        // Explicit-copy placement copies the (small) group table back.
+        // Explicit-copy placement copies the result back: a scan's 8-byte
+        // value or the (small) group table.
         if probe.explicit_copy {
-            let copy = state.device.memcpy(n_groups * group_entry_bytes, TransferDirection::DeviceToHost);
+            let bytes = if scan { 8 } else { n_groups * group_entry_bytes };
+            let copy = state.device.memcpy(bytes, TransferDirection::DeviceToHost);
             total += copy;
             breakdown.stream_secs += copy.as_secs_f64();
         }
@@ -609,88 +618,6 @@ impl GpuOlapEngine {
             groups,
             qualifying_rows: totals.joined,
             grouped: plan.group_by.is_some(),
-            time: total,
-            kernels,
-            interconnect_bytes,
-            breakdown,
-            site: OlapTarget::Gpu,
-        })
-    }
-
-    /// The filtered-scan kernel schedule of a scan-shaped plan
-    /// ([`OlapPlan::is_scan`]): one selection kernel per predicate (each
-    /// producing a selection bitmap) and one aggregation kernel, all charged
-    /// in one device-lock session — no partial-group arena and no merge
-    /// launch, because the single global accumulator stays in registers.
-    fn execute_scan_plan(
-        &self,
-        handle: RegisteredTable,
-        table: &SnapshotTable,
-        plan: &OlapPlan,
-    ) -> Result<PlanOutcome> {
-        let rows = table.row_count();
-        let cols = plan.probe_columns_accessed();
-        let mut kernels = Vec::new();
-        let mut total = SimDuration::ZERO;
-        let mut interconnect_bytes = 0u64;
-        let mut breakdown = ExecBreakdown::default();
-
-        // Every kernel of a scan is row-count-dependent, so the whole charge
-        // pass runs in one device-lock session, *before* the host compute.
-        let mut state = self.dev.lock();
-
-        // Explicit-copy placement pays the host-to-device transfer of every
-        // accessed column before the first kernel (the "memcpy" bars of
-        // Figure 1) and copies the 8-byte result back.
-        if handle.explicit_copy {
-            let bytes = scan_copy_bytes(table, &cols, rows)?;
-            let copy = state.device.memcpy(bytes, TransferDirection::HostToDevice);
-            total += copy;
-            breakdown.stream_secs += copy.as_secs_f64();
-            interconnect_bytes += bytes;
-        }
-
-        let mut charge = |device: &mut GpuDevice, desc: &KernelDesc| -> Result<()> {
-            let metrics = device.account(desc)?;
-            total += metrics.time;
-            interconnect_bytes += metrics.interconnect_bytes;
-            // Launch latency is the fixed dispatch cost; everything else in
-            // the launch is data movement (or compute hidden behind it).
-            breakdown.overhead_secs += metrics.launch_overhead.as_secs_f64();
-            breakdown.stream_secs += metrics.time.saturating_sub(metrics.launch_overhead).as_secs_f64();
-            breakdown.compute_secs += metrics.compute_time.as_secs_f64();
-            kernels.push(metrics);
-            Ok(())
-        };
-        for (i, pred) in plan.predicates.iter().enumerate() {
-            let (buffer, useful, pattern) = state.read_plan(handle, table, pred.column)?;
-            let desc = KernelDesc::new(format!("select_{i}"), rows)
-                .flops_per_element(2.0)
-                .read(buffer, useful, pattern)
-                // The bitmap write (1 bit per row, byte-packed here).
-                .write(rows.div_ceil(8));
-            charge(&mut state.device, &desc)?;
-        }
-        let mut desc = scan_aggregate_kernel("aggregate".into(), rows, plan);
-        for &attr in &plan.aggregates[0].columns() {
-            let (buffer, useful, pattern) = state.read_plan(handle, table, attr)?;
-            desc = desc.read(buffer, useful, pattern);
-        }
-        charge(&mut state.device, &desc)?;
-        if handle.explicit_copy {
-            let copy = state.device.memcpy(8, TransferDirection::DeviceToHost);
-            total += copy;
-            breakdown.stream_secs += copy.as_secs_f64();
-        }
-        drop(state);
-
-        // Host-side data path, shared with every site, with the device lock
-        // released: concurrent queries overlap here.
-        let (groups, totals) = host_answer(&self.cache, table, None, plan)?;
-        Ok(PlanOutcome {
-            groups,
-            qualifying_rows: totals.joined,
-            grouped: false,
             time: total,
             kernels,
             interconnect_bytes,

@@ -34,8 +34,10 @@
 //! against the **minimum per-device** free memory, not the sum.
 
 use crate::cache::PlanDataCache;
-use crate::engine::{host_answer, scan_aggregate_kernel, scan_copy_bytes, DataPlacement, PlanOutcome, RegisteredTable};
-use crate::operators::{self, ChunkPartial};
+use crate::engine::{
+    host_partials, probe_copy_bytes, scan_aggregate_kernel, DataPlacement, PlanOutcome, RegisteredTable,
+};
+use crate::operators;
 use crate::site::{emit_execution_spans, ExecutionSite};
 use h2tap_common::{
     chunk_shard, ExecBreakdown, H2Error, OlapPlan, PlanColumn, Result, SimDuration, HASH_ENTRY_BYTES, PLAN_CHUNK_ROWS,
@@ -348,9 +350,12 @@ impl MultiGpuOlapEngine {
     /// build shard, an all-gather that replicates the hash table on every
     /// device (interconnect traffic for the remote fraction), per-device
     /// random-access probes and partial aggregation, and a chunk-ordered
-    /// merge. The group rows are byte-identical to the other sites because
-    /// the real answer comes from the shared [`operators`] pipeline over all
-    /// chunks in ascending order.
+    /// merge. A scan-shaped plan ([`OlapPlan::is_scan`]) is charged the
+    /// filtered-scan schedule instead: per-device selection and one
+    /// aggregation kernel, no arena and no merge launch. The site charges the
+    /// slowest device. The group rows are byte-identical to the other sites
+    /// because the real answer comes from the shared [`operators`] pipeline
+    /// over all chunks in ascending order.
     pub fn execute_plan(
         &self,
         probe: RegisteredTable,
@@ -380,10 +385,8 @@ impl MultiGpuOlapEngine {
         scratch: &mut Vec<(usize, BufferId)>,
     ) -> Result<PlanOutcome> {
         operators::check_plan_tables(probe_table, build.map(|(_, t)| t), plan)?;
-        if plan.is_scan() {
-            return self.execute_scan_plan(probe, probe_table, plan);
-        }
         let n = self.device_count;
+        let scan = plan.is_scan();
 
         // ---- Device-lock session 1: the up-front reservations. ----
         let mut state = self.devs.lock();
@@ -428,10 +431,7 @@ impl MultiGpuOlapEngine {
         // device would process. Runs with the device lock *released*: this
         // is the real wall-clock work, and concurrent queries must overlap
         // here.
-        let operators::PlanData { mat, hash } = self.cache.prepare_plan(probe_table, build.map(|(_, t)| t), plan)?;
-        let chunk_partials: Vec<ChunkPartial> = (0..mat.chunk_count())
-            .map(|i| operators::process_chunk(&mat, plan, hash.as_deref(), mat.chunk_range(i)))
-            .collect();
+        let chunk_partials = host_partials(&self.cache, probe_table, build.map(|(_, t)| t), plan)?;
         let mut selected_d = vec![0u64; n];
         let mut joined_d = vec![0u64; n];
         let mut chunks_d = vec![0u64; n];
@@ -463,7 +463,7 @@ impl MultiGpuOlapEngine {
 
             // Explicit-copy placement pays each device's shard transfers.
             if probe.explicit_copy() && rows_d > 0 {
-                let bytes = plan.probe_scan_bytes(&probe_table.schema, rows_d);
+                let bytes = probe_copy_bytes(plan, probe_table, rows_d)?;
                 Self::charge_transfer(
                     &mut state.devices[d],
                     bytes,
@@ -550,49 +550,58 @@ impl MultiGpuOlapEngine {
                 }
             }
 
-            // Partial aggregation over the probe shard into a per-device
-            // arena, then a per-device merge of its chunk partials. The
-            // (tiny) per-device group tables merge on the host in ascending
-            // chunk order.
+            // A scan-shaped plan runs one aggregation kernel over the probe
+            // shard; its global accumulator stays in registers. Any other
+            // plan aggregates partially into a per-device arena, then merges
+            // the device's chunk partials. The (tiny) per-device results
+            // merge on the host in ascending chunk order.
             if rows_d > 0 {
-                let arena_bytes = chunks_d[d].max(1) * n_groups * group_entry_bytes;
-                let arena_buf = {
-                    let id = state.register_bytes(d, self.placement, &format!("plan.groups.d{d}"), arena_bytes)?;
-                    scratch.push((d, id));
-                    id
-                };
-                let mut agg_desc = KernelDesc::new(format!("partial_aggregate.d{d}"), rows_d)
-                    .flops_per_element(2.0 + plan.aggregates.len() as f64)
-                    .write(arena_bytes);
-                let mut agg_cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
-                if let Some(PlanColumn::Probe(c)) = plan.group_by {
-                    agg_cols.push(c);
-                }
-                agg_cols.sort_unstable();
-                agg_cols.dedup();
-                for &attr in &agg_cols {
-                    let (buffer, useful, pattern) = state.read_plan(probe, probe_table, d, attr)?;
-                    agg_desc = agg_desc.read(buffer, useful, pattern);
-                }
-                if plan.group_by.is_some() {
-                    agg_desc = agg_desc.read(
-                        arena_buf,
-                        joined_d[d].max(1) * group_entry_bytes,
-                        AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
-                    );
-                }
-                Self::charge(&mut state.devices[d], &agg_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                if scan {
+                    let mut desc = scan_aggregate_kernel(format!("aggregate.d{d}"), rows_d, plan);
+                    for &attr in &plan.aggregates[0].columns() {
+                        let (buffer, useful, pattern) = state.read_plan(probe, probe_table, d, attr)?;
+                        desc = desc.read(buffer, useful, pattern);
+                    }
+                    Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                } else {
+                    let arena_bytes = chunks_d[d].max(1) * n_groups * group_entry_bytes;
+                    let arena_buf = {
+                        let id = state.register_bytes(d, self.placement, &format!("plan.groups.d{d}"), arena_bytes)?;
+                        scratch.push((d, id));
+                        id
+                    };
+                    let mut agg_desc = KernelDesc::new(format!("partial_aggregate.d{d}"), rows_d)
+                        .flops_per_element(2.0 + plan.aggregates.len() as f64)
+                        .write(arena_bytes);
+                    let mut agg_cols: Vec<usize> = plan.aggregates.iter().flat_map(|a| a.columns()).collect();
+                    if let Some(PlanColumn::Probe(c)) = plan.group_by {
+                        agg_cols.push(c);
+                    }
+                    agg_cols.sort_unstable();
+                    agg_cols.dedup();
+                    for &attr in &agg_cols {
+                        let (buffer, useful, pattern) = state.read_plan(probe, probe_table, d, attr)?;
+                        agg_desc = agg_desc.read(buffer, useful, pattern);
+                    }
+                    if plan.group_by.is_some() {
+                        agg_desc = agg_desc.read(
+                            arena_buf,
+                            joined_d[d].max(1) * group_entry_bytes,
+                            AccessPattern::Random { elem_bytes: group_entry_bytes as u32 },
+                        );
+                    }
+                    Self::charge(&mut state.devices[d], &agg_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
 
-                let merge_desc = KernelDesc::new(format!("merge_groups.d{d}"), (chunks_d[d] * n_groups).max(1))
-                    .flops_per_element(1.0 + plan.aggregates.len() as f64)
-                    .read(arena_buf, arena_bytes, AccessPattern::Sequential)
-                    .write(n_groups * group_entry_bytes);
-                Self::charge(&mut state.devices[d], &merge_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
-
+                    let merge_desc = KernelDesc::new(format!("merge_groups.d{d}"), (chunks_d[d] * n_groups).max(1))
+                        .flops_per_element(1.0 + plan.aggregates.len() as f64)
+                        .read(arena_buf, arena_bytes, AccessPattern::Sequential)
+                        .write(n_groups * group_entry_bytes);
+                    Self::charge(&mut state.devices[d], &merge_desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
+                }
                 if probe.explicit_copy() {
                     Self::charge_transfer(
                         &mut state.devices[d],
-                        n_groups * group_entry_bytes,
+                        if scan { 8 } else { n_groups * group_entry_bytes },
                         TransferDirection::DeviceToHost,
                         &mut run,
                         &mut interconnect_bytes,
@@ -612,84 +621,6 @@ impl MultiGpuOlapEngine {
             groups,
             qualifying_rows: totals.joined,
             grouped: plan.group_by.is_some(),
-            time: critical.time,
-            kernels,
-            interconnect_bytes,
-            breakdown: critical.breakdown,
-            site: OlapTarget::MultiGpu,
-        })
-    }
-
-    /// The filtered-scan kernel schedule of a scan-shaped plan
-    /// ([`OlapPlan::is_scan`]): each device runs the selection and
-    /// aggregation kernels over its own shard concurrently, all charged in
-    /// one device-lock session, and the site charges the slowest device. No
-    /// partial-group arena and no merge launch: each device's single global
-    /// accumulator stays in registers.
-    fn execute_scan_plan(
-        &self,
-        handle: RegisteredTable,
-        table: &SnapshotTable,
-        plan: &OlapPlan,
-    ) -> Result<PlanOutcome> {
-        let cols = plan.probe_columns_accessed();
-        let mut kernels = Vec::new();
-        let mut interconnect_bytes = 0u64;
-        let mut critical = DeviceRun::default();
-
-        // Scan charges depend only on shard row counts: one lock session
-        // covers every device, then the host-side answer computes unlocked.
-        let mut state = self.devs.lock();
-        let per_device = state.device_shard_rows(handle)?.clone();
-        for (d, &rows_d) in per_device.iter().enumerate() {
-            if rows_d == 0 {
-                continue;
-            }
-            let mut run = DeviceRun::default();
-            // Explicit-copy placement pays each device's shard transfer up
-            // front (the devices copy over their own links, in parallel).
-            if handle.explicit_copy() {
-                let bytes = scan_copy_bytes(table, &cols, rows_d)?;
-                let device = &mut state.devices[d];
-                Self::charge_transfer(
-                    device,
-                    bytes,
-                    TransferDirection::HostToDevice,
-                    &mut run,
-                    &mut interconnect_bytes,
-                );
-            }
-            for (i, pred) in plan.predicates.iter().enumerate() {
-                let (buffer, useful, pattern) = state.read_plan(handle, table, d, pred.column)?;
-                let desc = KernelDesc::new(format!("select_{i}.d{d}"), rows_d)
-                    .flops_per_element(2.0)
-                    .read(buffer, useful, pattern)
-                    .write(rows_d.div_ceil(8));
-                Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
-            }
-            let mut desc = scan_aggregate_kernel(format!("aggregate.d{d}"), rows_d, plan);
-            for &attr in &plan.aggregates[0].columns() {
-                let (buffer, useful, pattern) = state.read_plan(handle, table, d, attr)?;
-                desc = desc.read(buffer, useful, pattern);
-            }
-            Self::charge(&mut state.devices[d], &desc, &mut run, &mut kernels, &mut interconnect_bytes)?;
-            if handle.explicit_copy() {
-                let device = &mut state.devices[d];
-                Self::charge_transfer(device, 8, TransferDirection::DeviceToHost, &mut run, &mut interconnect_bytes);
-            }
-            if run.time > critical.time {
-                critical = run;
-            }
-        }
-        drop(state);
-
-        // Host-side data path shared with every other site: bit-equal
-        // answers regardless of device mix or completion order.
-        let (groups, totals) = host_answer(&self.cache, table, None, plan)?;
-        Ok(PlanOutcome {
-            groups,
-            qualifying_rows: totals.joined,
-            grouped: false,
             time: critical.time,
             kernels,
             interconnect_bytes,

@@ -472,9 +472,8 @@ fn select_batch(
 }
 
 /// Which inner-loop kernels a chunk evaluation uses. The public entry
-/// points pin the flavour: [`scan_chunk`]/[`process_chunk`] run `Simd`,
-/// [`scan_chunk_scalar`]/[`process_chunk_scalar`] the retained pre-SIMD
-/// scalar batch loops.
+/// points pin the flavour: [`process_chunk`] runs `Simd`,
+/// [`process_chunk_scalar`] the retained pre-SIMD scalar batch loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kernels {
     /// Explicit lane kernels ([`crate::simd`]).
@@ -1407,7 +1406,11 @@ mod tests {
                 group_by: None,
                 aggregates: vec![AggExpr::SumProduct(1, 2), AggExpr::Count, AggExpr::SumColumns(vec![0, 2])],
             },
-            // Scan-shaped plans (`OlapPlan::scan`), one per aggregate kind.
+            // Scan-shaped plans (`OlapPlan::scan`).
+            OlapPlan::scan(&ScanAggQuery {
+                predicates: vec![Predicate::between(1, 10.0, 59.0)],
+                aggregate: AggExpr::SumProduct(1, 2),
+            }),
             OlapPlan::scan(&ScanAggQuery {
                 predicates: vec![Predicate::between(1, 10.0, 59.0), Predicate::between(0, 1_000.0, 180_000.0)],
                 aggregate: AggExpr::SumColumns(vec![0, 2]),
