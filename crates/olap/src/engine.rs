@@ -147,17 +147,12 @@ pub(crate) fn accumulate_residency(mem: &MemoryManager, id: BufferId, total: &mu
 /// side of `plan` over `rows` rows: the accessed columns. A scan-shaped plan
 /// over an NSM table copies an equal share of the record width per accessed
 /// column instead (the filtered-scan model behind Figure 1).
-pub(crate) fn probe_copy_bytes(plan: &OlapPlan, table: &SnapshotTable, rows: u64) -> Result<u64> {
+pub(crate) fn probe_copy_bytes(plan: &OlapPlan, table: &SnapshotTable, rows: u64) -> u64 {
     if !(plan.is_scan() && table.layout == Layout::Nsm) {
-        return Ok(plan.probe_scan_bytes(&table.schema, rows));
+        return plan.probe_scan_bytes(&table.schema, rows);
     }
-    let cols = plan.probe_columns_accessed();
-    let mut bytes = 0u64;
-    for &attr in &cols {
-        table.schema.attr(attr)?;
-        bytes += rows * table.schema.record_width() as u64 / cols.len() as u64;
-    }
-    Ok(bytes)
+    let cols = plan.probe_columns_accessed().len() as u64;
+    (rows * table.schema.record_width() as u64).checked_div(cols).map_or(0, |share| share * cols)
 }
 
 /// The aggregation kernel of a scan-shaped plan over `rows` rows (reads of
@@ -473,7 +468,7 @@ impl GpuOlapEngine {
         // Explicit-copy placement pays the host-to-device transfer of every
         // accessed column of both tables before the first kernel.
         if probe.explicit_copy {
-            let bytes = probe_copy_bytes(plan, probe_table, rows)?;
+            let bytes = probe_copy_bytes(plan, probe_table, rows);
             let copy = state.device.memcpy(bytes, TransferDirection::HostToDevice);
             total += copy;
             breakdown.stream_secs += copy.as_secs_f64();

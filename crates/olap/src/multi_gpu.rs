@@ -463,7 +463,7 @@ impl MultiGpuOlapEngine {
 
             // Explicit-copy placement pays each device's shard transfers.
             if probe.explicit_copy() && rows_d > 0 {
-                let bytes = probe_copy_bytes(plan, probe_table, rows_d)?;
+                let bytes = probe_copy_bytes(plan, probe_table, rows_d);
                 Self::charge_transfer(
                     &mut state.devices[d],
                     bytes,
