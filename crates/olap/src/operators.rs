@@ -1406,48 +1406,57 @@ mod tests {
                 group_by: None,
                 aggregates: vec![AggExpr::SumProduct(1, 2), AggExpr::Count, AggExpr::SumColumns(vec![0, 2])],
             },
-            // Scan-shaped plans (`OlapPlan::scan`).
-            OlapPlan::scan(&ScanAggQuery {
-                predicates: vec![Predicate::between(1, 10.0, 59.0)],
-                aggregate: AggExpr::SumProduct(1, 2),
-            }),
-            OlapPlan::scan(&ScanAggQuery {
-                predicates: vec![Predicate::between(1, 10.0, 59.0), Predicate::between(0, 1_000.0, 180_000.0)],
-                aggregate: AggExpr::SumColumns(vec![0, 2]),
-            }),
-            OlapPlan::scan(&ScanAggQuery { predicates: vec![], aggregate: AggExpr::SumColumns(vec![2]) }),
-            OlapPlan::scan(&ScanAggQuery {
-                predicates: vec![Predicate::between(2, 0.0, 5_000.5)],
-                aggregate: AggExpr::Count,
-            }),
-            OlapPlan::scan(&ScanAggQuery {
-                predicates: vec![Predicate::between(0, 1e9, 2e9)],
-                aggregate: AggExpr::SumProduct(0, 2),
-            }),
         ];
         for plan in plans {
-            let hash = match &plan.join {
-                Some(join) => {
-                    let group_col = check_plan(&plan, true).unwrap();
-                    Some(build_hash_table(&build, join, group_col).unwrap())
-                }
-                None => None,
-            };
-            let mat = MaterializedColumns::new(&probe, plan.probe_columns_accessed()).unwrap();
-            for i in 0..mat.chunk_count() {
-                let simd = process_chunk(&mat, &plan, hash.as_ref(), mat.chunk_range(i));
-                let scalar = process_chunk_scalar(&mat, &plan, hash.as_ref(), mat.chunk_range(i));
-                let slow = process_chunk_reference(&mat, &plan, hash.as_ref(), mat.chunk_range(i));
-                for fast in [&simd, &scalar] {
-                    assert_eq!(fast.selected, slow.selected);
-                    assert_eq!(fast.joined, slow.joined);
-                    assert_eq!(fast.groups.len(), slow.groups.len());
-                    for ((fk, fa), (sk, sa)) in fast.groups.iter().zip(&slow.groups) {
-                        assert_eq!(fk, sk);
-                        assert_eq!(fa.rows, sa.rows);
-                        for (x, y) in fa.values.iter().zip(&sa.values) {
-                            assert_eq!(x.to_bits(), y.to_bits(), "chunk {i} group {fk}: {x} vs {y}");
-                        }
+            assert_chunks_match_the_reference(&probe, &build, &plan);
+        }
+    }
+
+    #[test]
+    fn vectorized_scan_chunks_are_bit_identical_to_the_reference() {
+        // Scan-shaped plans (`OlapPlan::scan`), several chunks each.
+        let (probe, build) = tables(200_000);
+        let queries = [
+            ScanAggQuery { predicates: vec![Predicate::between(1, 10.0, 59.0)], aggregate: AggExpr::SumProduct(1, 2) },
+            ScanAggQuery {
+                predicates: vec![Predicate::between(1, 10.0, 59.0), Predicate::between(0, 1_000.0, 180_000.0)],
+                aggregate: AggExpr::SumColumns(vec![0, 2]),
+            },
+            ScanAggQuery { predicates: vec![], aggregate: AggExpr::SumColumns(vec![2]) },
+            ScanAggQuery { predicates: vec![Predicate::between(2, 0.0, 5_000.5)], aggregate: AggExpr::Count },
+            ScanAggQuery { predicates: vec![Predicate::between(0, 1e9, 2e9)], aggregate: AggExpr::SumProduct(0, 2) },
+        ];
+        for query in &queries {
+            let plan = OlapPlan::scan(query);
+            assert!(plan.is_scan());
+            assert_chunks_match_the_reference(&probe, &build, &plan);
+        }
+    }
+
+    /// Every chunk of `plan` over `probe` gives bit-identical partials from
+    /// the SIMD, scalar-batch and reference kernels.
+    fn assert_chunks_match_the_reference(probe: &SnapshotTable, build: &SnapshotTable, plan: &OlapPlan) {
+        let hash = match &plan.join {
+            Some(join) => {
+                let group_col = check_plan(plan, true).unwrap();
+                Some(build_hash_table(build, join, group_col).unwrap())
+            }
+            None => None,
+        };
+        let mat = MaterializedColumns::new(probe, plan.probe_columns_accessed()).unwrap();
+        for i in 0..mat.chunk_count() {
+            let simd = process_chunk(&mat, plan, hash.as_ref(), mat.chunk_range(i));
+            let scalar = process_chunk_scalar(&mat, plan, hash.as_ref(), mat.chunk_range(i));
+            let slow = process_chunk_reference(&mat, plan, hash.as_ref(), mat.chunk_range(i));
+            for fast in [&simd, &scalar] {
+                assert_eq!(fast.selected, slow.selected);
+                assert_eq!(fast.joined, slow.joined);
+                assert_eq!(fast.groups.len(), slow.groups.len());
+                for ((fk, fa), (sk, sa)) in fast.groups.iter().zip(&slow.groups) {
+                    assert_eq!(fk, sk);
+                    assert_eq!(fa.rows, sa.rows);
+                    for (x, y) in fa.values.iter().zip(&sa.values) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "chunk {i} group {fk}: {x} vs {y}");
                     }
                 }
             }
